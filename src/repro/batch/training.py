@@ -1,24 +1,33 @@
-"""Autograd-capable vectorized training forward over a padded batch of bags.
+"""The batched forward over a padded batch of bags, for training and serving.
 
-The per-bag training path builds one small ``nn.Tensor`` graph per bag
+The per-bag path builds one small ``nn.Tensor`` graph per bag
 (``model(bag, bag.label)``) and pays numpy call overhead on tiny arrays for
-every one of them — the same overhead the batched *inference* path
-(:mod:`repro.batch.inference`) eliminates for serving.  This module builds
-ONE graph for a whole mini-batch: the bags are merged along the sentence axis
-(:mod:`repro.batch.merging`), the embedder/encoder run once over all
-sentences, and the bag-level stages (gold-label selective attention,
-entity-type head, mutual-relation head, confidence combination) are evaluated
-with padded batched ops whose values *and* gradients match the per-bag graph
-to float64 round-off.
+every one of them.  This module runs ONE forward for a whole batch: the bags
+are merged along the sentence axis (:mod:`repro.batch.merging`), the
+embedder/encoder run once over all sentences, and the bag-level stages
+(selective attention, entity-type head, mutual-relation head, confidence
+combination) are evaluated with padded batched ops whose values *and*
+gradients match the per-bag graph to float64 round-off.
 
-Parity is by construction (enforced by ``tests/test_batch_training.py``):
+The same forward serves both paths:
+
+* :func:`batched_train_logits` passes the gold labels, so selective
+  attention uses each bag's gold-relation query, and records the graph the
+  :class:`~repro.training.Trainer` back-propagates through;
+* :func:`batched_predict_probabilities` passes no labels, so every relation
+  attends over the bag with its own query (the prediction protocol of Lin
+  et al., 2016), and runs under :func:`repro.nn.tensor.no_grad`, so no graph
+  is kept and the pooling ops take their forward-only branch.
+
+Parity is by construction (enforced by ``tests/test_batch_training.py`` and
+``tests/test_serve.py``):
 
 * padding slots carry exactly zero activations and exactly zero gradients,
   so padded sums equal the ragged per-bag sums and scatter-adds into shared
   parameters only ever add exact zeros for padding;
 * embedded columns at or beyond each bag's own width are zeroed through the
   graph (per-bag arrays end at the bag's width, so there the convolution sees
-  true zeros), mirroring the inference-path correction;
+  true zeros);
 * the dropout mask for the merged ``(total_sentences, dim)`` representation
   matrix is drawn in one call, which consumes the module's RNG stream exactly
   like the sequential per-bag draws it replaces (numpy ``Generator.random``
@@ -42,7 +51,7 @@ from ..encoders.pcnn import PCNNEncoder, _align_segments
 from ..exceptions import ModelError
 from ..nn import functional as F
 from ..nn.backend import ArrayBackend, Workspace, resolve_backend
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, no_grad
 from .merging import (
     BagBatchLike,
     MergedBagBatch,
@@ -54,13 +63,14 @@ from .merging import (
 
 
 def supports_batched_training(model: object) -> bool:
-    """Whether :func:`batched_train_logits` can train ``model``.
+    """Whether the batched forward can train and serve ``model``.
 
     The batched forward understands :class:`NeuralREModel` with any of the
     stock encoders (CNN, PCNN, GRU — with or without word attention) and
     aggregators (selective attention, average pooling).  Anything else —
     e.g. a custom per-bag model handed to :class:`repro.training.Trainer` —
-    falls back to the per-bag loop.
+    falls back to the per-bag loop (and is rejected by
+    :func:`batched_predict_probabilities`).
     """
     return (
         isinstance(model, NeuralREModel)
@@ -99,19 +109,66 @@ def batched_train_logits(
     """
     if len(bags) == 0:
         raise ModelError("batched training forward needs at least one bag")
+    return _batched_logits(model, bags, backend, workspace, gold_attention=True)
+
+
+def batched_predict_probabilities(
+    model: NeuralREModel,
+    bags: BagBatchLike,
+    backend: Union[None, str, ArrayBackend] = None,
+    workspace: Optional[Workspace] = None,
+) -> np.ndarray:
+    """Relation probability distributions for many bags in one pass.
+
+    Takes the same ``bags`` as :func:`batched_train_logits` and returns a
+    float64 array of shape ``(num_bags, num_relations)`` equal (up to
+    floating-point round-off) to stacking ``model.predict_probabilities(bag)``
+    over ``bags``.  The model runs in eval mode (restored afterwards) under
+    :func:`~repro.nn.tensor.no_grad`; the compute dtype follows the model's
+    parameters, and the final softmax always runs in float64.  The returned
+    array is never workspace-backed.
+    """
+    if len(bags) == 0:
+        return np.zeros((0, model.num_relations))
+    was_training = model.training
+    if was_training:
+        model.eval()
+    try:
+        with no_grad():
+            logits = _batched_logits(model, bags, backend, workspace, gold_attention=False)
+            return F.softmax(Tensor(logits.data.astype(np.float64, copy=False))).data
+    finally:
+        if was_training:
+            model.train(True)
+
+
+def _batched_logits(
+    model: NeuralREModel,
+    bags: BagBatchLike,
+    backend: Union[None, str, ArrayBackend],
+    workspace: Optional[Workspace],
+    *,
+    gold_attention: bool,
+) -> Tensor:
+    """The one batched forward: combined logits ``(num_bags, num_relations)``.
+
+    ``gold_attention`` picks the selective-attention protocol: each bag's
+    gold-relation query (training) or every relation's own query
+    (prediction).
+    """
     if not supports_batched_training(model):
         raise ModelError(
             f"model {type(model).__name__} is not supported by the batched "
-            "training forward; train it with the per-bag loop"
+            "forward; use its per-bag forward"
         )
     backend = resolve_backend(backend)
     if workspace is not None and not backend.reuse_workspace:
         workspace = None
     batch = as_merged_batch(bags, workspace=workspace)
-    representations = _training_sentence_representations(model, batch, backend, workspace)
-    re_logits = _aggregator_train_logits(
-        model.base_model.aggregator, representations, batch, batch.labels,
-        backend, workspace,
+    representations = _sentence_representations(model, batch, backend, workspace)
+    re_logits = _aggregator_logits(
+        model.base_model.aggregator, representations, batch,
+        batch.labels if gold_attention else None, backend, workspace,
     )
     type_logits = (
         _type_head_logits(model.type_head, batch, backend, workspace)
@@ -131,7 +188,7 @@ def batched_train_logits(
 # ---------------------------------------------------------------------- #
 # Sentence encoding
 # ---------------------------------------------------------------------- #
-def _training_sentence_representations(
+def _sentence_representations(
     model: NeuralREModel,
     batch: MergedBagBatch,
     backend: ArrayBackend,
@@ -152,11 +209,11 @@ def _training_sentence_representations(
     embedded = embedded * Tensor(mask_f)
     encoder = base.encoder
     if isinstance(encoder, CNNEncoder):
-        representations = _cnn_training_representations(
+        representations = _cnn_representations(
             encoder, embedded, batch, widths, backend, workspace
         )
     elif isinstance(encoder, PCNNEncoder) and workspace is not None:
-        representations = _pcnn_training_representations(
+        representations = _pcnn_representations(
             encoder, embedded, batch, backend, workspace
         )
     else:
@@ -167,7 +224,7 @@ def _training_sentence_representations(
     return base.dropout(representations)
 
 
-def _cnn_training_representations(
+def _cnn_representations(
     encoder: CNNEncoder,
     embedded: Tensor,
     batch: MergedBagBatch,
@@ -189,7 +246,7 @@ def _cnn_training_representations(
     return F.max_pool_sequence(convolved, mask=mask).tanh()
 
 
-def _pcnn_training_representations(
+def _pcnn_representations(
     encoder: PCNNEncoder,
     embedded: Tensor,
     batch: MergedBagBatch,
@@ -294,7 +351,7 @@ def _conv1d_pooled(
 
 
 # ---------------------------------------------------------------------- #
-# Bag aggregation (training path: gold relation guides the attention)
+# Bag aggregation
 # ---------------------------------------------------------------------- #
 def _padded_slot_index(
     batch: MergedBagBatch,
@@ -316,16 +373,33 @@ def _padded_slot_index(
     return gather, slot_mask
 
 
-def _aggregator_train_logits(
+def _aggregator_logits(
     aggregator,
     representations: Tensor,
     batch: MergedBagBatch,
-    labels: np.ndarray,
+    labels: Optional[np.ndarray],
     backend: ArrayBackend,
     workspace: Optional[Workspace],
 ) -> Tensor:
-    """Training logits ``(num_bags, num_relations)`` for either aggregator."""
+    """Relation logits ``(num_bags, num_relations)`` for either aggregator.
+
+    ``labels`` (one per bag) select the gold-relation attention of training;
+    ``None`` selects prediction-time attention.
+    """
     gather, slot_mask = _padded_slot_index(batch, backend, workspace)
+    if isinstance(aggregator, SelectiveAttentionAggregator) and labels is None:
+        # Every relation r attends over the bag with its own query and is
+        # scored against its own attended vector (Lin et al., 2016):
+        # logit[b, r] = sum_s alpha[b, s, r] * (x_s . w_r + bias_r), which
+        # equals classifying the attended vector because the alphas sum to 1.
+        scores = (representations * aggregator.attention_diag).matmul(
+            aggregator.relation_queries.T
+        )
+        alphas = F.masked_softmax(
+            F.gather_rows(scores, gather), slot_mask[:, :, None], axis=1
+        )
+        sentence_logits = F.gather_rows(aggregator.classifier(representations), gather)
+        return (alphas * sentence_logits).sum(axis=1)
     if isinstance(aggregator, SelectiveAttentionAggregator):
         # Every sentence is scored against its own bag's gold-relation query:
         # q_j = (x_j * diag) . r_{label(bag(j))}, then a per-bag softmax over
@@ -353,7 +427,7 @@ def _aggregator_train_logits(
         means = padded_reprs.sum(axis=1) * inv_counts
         return aggregator.classifier(means)
     raise ModelError(
-        f"batched training does not support aggregator {type(aggregator).__name__}"
+        f"the batched forward does not support aggregator {type(aggregator).__name__}"
     )
 
 
@@ -366,7 +440,7 @@ def _type_head_logits(
     backend: ArrayBackend,
     workspace: Optional[Workspace],
 ) -> Tensor:
-    """Vectorized :class:`EntityTypeHead` training forward: ``(num_bags, R)``."""
+    """Vectorized :class:`EntityTypeHead` forward: ``(num_bags, R)``."""
     head_vectors = _mean_type_embeddings(
         type_head.type_embedding, batch.head_type_ids, batch.head_type_offsets,
         backend, workspace, "train.types.head",

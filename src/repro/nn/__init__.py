@@ -35,6 +35,8 @@ from .tensor import (
     concatenate,
     default_dtype,
     get_default_dtype,
+    is_grad_enabled,
+    no_grad,
     ones,
     set_default_dtype,
     stack,
@@ -57,6 +59,8 @@ __all__ = [
     "use_backend",
     "register_backend",
     "default_dtype",
+    "no_grad",
+    "is_grad_enabled",
     "Tensor",
     "tensor",
     "zeros",

@@ -1,33 +1,30 @@
-"""Pluggable array-compute backends for the gradient-free hot paths.
+"""Pluggable array-compute backends for the batched forward.
 
-The autograd substrate (:mod:`repro.nn.tensor`) stays hard-wired to numpy —
-training needs its recorded graphs.  The batched *kernels* on both hot paths
-are another matter: the serve-side forward (:mod:`repro.batch.inference`) and
-the training-side fused forward/backward (:mod:`repro.batch.training`) both
-dispatch their heavy array ops through the small protocol defined here, so
-they can be swapped without touching the model code.  Three backends register
-today:
+The autograd substrate (:mod:`repro.nn.tensor`) stays hard-wired to numpy.
+The batched forward that trains and serves (:mod:`repro.batch.training`)
+routes its scratch allocations and its two heavy kernels (the convolution's
+im2col gather and matmul) through the small protocol defined here, so a
+backend can change them without touching the model code.  Two backends
+register today:
 
 ``reference``
-    Plain numpy at the model's own dtype (float64 by default).  Byte-preserves
-    the behaviour the parity suite pins down; this is the default.
+    Plain numpy at the model's own dtype (float64 by default), fresh
+    allocations per batch.  Byte-preserves the behaviour the parity suite
+    pins down; this is the default.
 ``fast``
-    The same numpy kernels plus a serving dtype policy (float32 weights and
-    activations, float64 final reduction) and scratch-buffer reuse through a
-    :class:`Workspace`.  Roughly halves the memory bandwidth and swaps dgemm
-    for sgemm on the serve path; ``tests/test_backend.py`` proves
+    The same numpy kernels; it differs only in policy: float32 weights and
+    activations when pinned (float64 final reduction on the serve path,
+    float64 master weights in training) and scratch buffers pooled in a
+    :class:`Workspace`.  ``tests/test_backend.py`` proves served
     probabilities stay within ``1e-5`` of the reference with identical
     predicted labels for every model variant.
-``torch``
-    Registered only when ``import torch`` succeeds (it is absent from the CI
-    image); same call surface, kernels executed by torch on CPU.
 
 Selection is layered: an explicit ``backend=`` argument beats the process
 override installed with :func:`set_backend`, which beats the
 ``REPRO_BACKEND`` environment variable, which falls back to ``reference``.
-Ambient selection (env var / :func:`set_backend`) swaps *kernels only*; a
-backend's dtype policy applies when a caller pins it explicitly (for
-example ``PredictionService(..., backend="fast")`` or
+Ambient selection (env var / :func:`set_backend`) swaps *kernels and
+workspace pooling only*; a backend's dtype policy applies when a caller pins
+it explicitly (for example ``PredictionService(..., backend="fast")`` or
 ``TrainingConfig(backend="fast")``), so exporting ``REPRO_BACKEND=fast``
 never silently changes the numbers an existing float64 service — or an
 existing training run — produces.
@@ -156,10 +153,10 @@ class Workspace:
 
 
 class ArrayBackend:
-    """Protocol + numpy reference implementation of the serve-path kernels.
+    """Protocol + numpy reference implementation of the batched forward's kernels.
 
     Sub-classes override ``name`` and, optionally, individual kernels and the
-    two policy attributes:
+    policy attributes:
 
     ``serve_dtype``
         Float dtype a :class:`~repro.serve.PredictionService` casts model
@@ -221,42 +218,6 @@ class ArrayBackend:
     ) -> np.ndarray:
         return np.matmul(a, b, out=out)
 
-    def gather_rows(
-        self,
-        table: np.ndarray,
-        indices: np.ndarray,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """``table[indices]`` along axis 0, optionally into ``out``."""
-        if out is None:
-            return table[indices]
-        out[...] = table[indices]
-        return out
-
-    def add_at(
-        self, target: np.ndarray, indices, values: np.ndarray
-    ) -> np.ndarray:
-        """Unbuffered scatter-add (``np.add.at`` semantics)."""
-        np.add.at(target, indices, values)
-        return target
-
-    def softmax(
-        self, x: np.ndarray, axis: int = -1, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Numerically stable softmax along ``axis``.
-
-        Matches the historical serve-path formulation exactly (shift by the
-        axis max, exponentiate, normalise) so the reference backend is
-        bit-equal to the pre-backend code.
-        """
-        shifted = x - x.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        result = exp / exp.sum(axis=axis, keepdims=True)
-        if out is None:
-            return result
-        out[...] = result
-        return out
-
     def conv_window_gather(
         self,
         padded: np.ndarray,
@@ -278,39 +239,6 @@ class ArrayBackend:
             )
         return out
 
-    def segment_max(
-        self,
-        x: np.ndarray,
-        segment_ids: np.ndarray,
-        num_segments: int,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Per-segment masked max pooling (the PCNN pooling stage).
-
-        ``x`` is ``(rows, length, channels)``; ``segment_ids`` is
-        ``(rows, length)`` with negatives marking padding.  Returns
-        ``(rows, num_segments * channels)``: each segment max-pooled over its
-        own positions, zero where a segment has no valid position.
-        """
-        rows, _, channels = x.shape
-        if out is None:
-            out = np.empty((rows, num_segments * channels), dtype=x.dtype)
-        for seg in range(num_segments):
-            seg_mask = segment_ids == seg
-            segment_slice = out[:, seg * channels:(seg + 1) * channels]
-            # Masked reduction: same values as `np.where(mask, x, -inf)
-            # .max(axis=1)` (max is exact) without materialising the masked
-            # copy.  Empty segments reduce to the -inf initial, then zero.
-            np.max(
-                x,
-                axis=1,
-                where=seg_mask[:, :, None],
-                initial=-np.inf,
-                out=segment_slice,
-            )
-            segment_slice[~seg_mask.any(axis=1)] = 0.0
-        return out
-
     def __repr__(self) -> str:
         dtype = "model" if self.serve_dtype is None else np.dtype(self.serve_dtype).name
         return f"{type(self).__name__}(name={self.name!r}, serve_dtype={dtype})"
@@ -328,91 +256,26 @@ class ReferenceBackend(ArrayBackend):
 class FastBackend(ReferenceBackend):
     """Float32 serve and train paths with workspace reuse.
 
-    The kernels are inherited unchanged — what makes this backend fast is
-    policy, not arithmetic: weights and activations in float32 (half the
-    bandwidth, sgemm instead of dgemm) and scratch buffers pooled across
-    batches.  On the serve path the final combined-logits softmax still runs
-    in float64 (:func:`repro.batch.inference` casts before the last
-    reduction), keeping output probabilities within ``1e-5`` of the
-    reference path.  On the training path (``train_dtype=float32``) the
+    The kernels are the reference ones; this backend differs from
+    ``reference`` only in policy (``serve_dtype``, ``train_dtype``,
+    ``reuse_workspace``): weights and activations in float32 when pinned
+    (half the bandwidth, sgemm instead of dgemm) and scratch buffers pooled
+    across batches.  On the serve path the final combined-logits softmax
+    still runs in float64 (:func:`repro.batch.batched_predict_probabilities`
+    casts before the last reduction), keeping output probabilities within
+    ``1e-5`` of the reference path.  On the training path the
     :class:`~repro.training.Trainer` keeps float64 *master* weights inside
     the optimizer and accumulates gradients in float64 at the parameter
     boundary, so only the forward/backward graph runs in float32 — see the
-    parity contract in ``docs/architecture.md``.
+    parity contract in ``docs/architecture.md``.  Ambient ``fast`` (kernels
+    and pooled workspaces, no dtype change) is bit-identical to
+    ``reference``.
     """
 
     name = "fast"
     serve_dtype = np.dtype(np.float32)
     train_dtype = np.dtype(np.float32)
     reuse_workspace = True
-
-    def softmax(
-        self, x: np.ndarray, axis: int = -1, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Temporary-free softmax when an ``out`` buffer is supplied.
-
-        Runs the identical ufunc sequence as the reference kernel (subtract
-        axis max, exp, normalise), just in place, so results are bit-equal.
-        """
-        if out is None:
-            return super().softmax(x, axis=axis)
-        if out is not x:
-            out[...] = x
-        np.subtract(out, out.max(axis=axis, keepdims=True), out=out)
-        np.exp(out, out=out)
-        out /= out.sum(axis=axis, keepdims=True)
-        return out
-
-
-class TorchBackend(ArrayBackend):
-    """Torch-executed kernels (CPU); registered only when torch imports.
-
-    Keeps the numpy array call surface: inputs and outputs are numpy arrays,
-    torch only executes the inner matmul/gather. The dtype policy is neutral
-    (``serve_dtype=None``) — pair it with an explicit cast if desired.
-    """
-
-    name = "torch"
-    serve_dtype = None
-    train_dtype = None
-    reuse_workspace = False
-
-    def __init__(self) -> None:
-        import torch  # noqa: F401 — presence gate; ImportError aborts registration
-
-        self._torch = torch
-
-    def matmul(
-        self, a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        torch = self._torch
-        result = (
-            torch.from_numpy(np.ascontiguousarray(a))
-            @ torch.from_numpy(np.ascontiguousarray(b))
-        ).numpy()
-        if out is None:
-            return result
-        out[...] = result
-        return out
-
-    def gather_rows(
-        self,
-        table: np.ndarray,
-        indices: np.ndarray,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        torch = self._torch
-        flat = np.ascontiguousarray(np.asarray(indices, dtype=np.int64).reshape(-1))
-        gathered = (
-            torch.from_numpy(np.ascontiguousarray(table))
-            .index_select(0, torch.from_numpy(flat))
-            .numpy()
-            .reshape(np.asarray(indices).shape + table.shape[1:])
-        )
-        if out is None:
-            return gathered
-        out[...] = gathered
-        return out
 
 
 # ---------------------------------------------------------------------- #
@@ -506,7 +369,3 @@ class use_backend:
 
 register_backend(ReferenceBackend())
 register_backend(FastBackend())
-try:  # torch is optional and absent from the CI image
-    register_backend(TorchBackend())
-except ImportError:  # pragma: no cover - exercised only where torch exists
-    pass

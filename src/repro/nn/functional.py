@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensor import Tensor, _unbroadcast
+from .tensor import Tensor, _unbroadcast, is_grad_enabled
 
 
 # ---------------------------------------------------------------------- #
@@ -289,6 +289,9 @@ def max_pool_sequence(x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
     data = x.data
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
+    if not (is_grad_enabled() and x.requires_grad):
+        return Tensor(data.max(axis=1) if mask is None else _masked_max(data, mask))
+    if mask is not None:
         data = np.where(mask[:, :, None], data, -1e30)
     argmax = data.argmax(axis=1)  # (batch, channels)
     batch, length, channels = x.shape
@@ -335,6 +338,11 @@ def piecewise_max_pool(x: Tensor, segment_ids: np.ndarray, num_segments: int = 3
     batch, length, channels = x.shape
     if segment_ids.shape != (batch, length):
         raise ValueError("segment_ids must have shape (batch, length)")
+    if not (is_grad_enabled() and x.requires_grad):
+        return Tensor(np.concatenate(
+            [_masked_max(x.data, segment_ids == seg) for seg in range(num_segments)],
+            axis=1,
+        ))
 
     pooled_parts = []
     argmax_parts = []
@@ -362,6 +370,18 @@ def piecewise_max_pool(x: Tensor, segment_ids: np.ndarray, num_segments: int = 3
         x._accumulate(full)
 
     return Tensor._make(out_data, (x,), backward)
+
+
+def _masked_max(data: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Forward-only max over axis 1 of ``data`` where ``mask`` holds.
+
+    The pooling ops use this when nothing records their graph: a masked
+    reduction yields the same values as the argmax/gather the backward
+    needs (max is exact), and rows without a valid position pool to zero.
+    """
+    pooled = np.max(data, axis=1, where=mask[:, :, None], initial=-np.inf)
+    pooled[~mask.any(axis=1)] = 0.0
+    return pooled
 
 
 # ---------------------------------------------------------------------- #

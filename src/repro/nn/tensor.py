@@ -16,11 +16,15 @@ Design notes
   back ("unbroadcast") onto the original shapes.
 * Only operations needed by the relation-extraction models are implemented;
   the goal is a faithful, readable substrate rather than a general framework.
+* Inside :func:`no_grad` (thread-local, like PyTorch's) no graph is
+  recorded: every op returns a plain leaf, so a forward-only pass (serving)
+  keeps no parents or backward closures alive.
 """
 
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -64,6 +68,35 @@ def default_dtype(dtype: np.dtype) -> Iterator[np.dtype]:
         yield get_default_dtype()
     finally:
         set_default_dtype(previous)
+
+
+class _GradMode(threading.local):
+    # Class attribute: the default every thread sees until it enters no_grad.
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
+
+
+def is_grad_enabled() -> bool:
+    """Whether ops on the calling thread currently record a graph."""
+    return _GRAD_MODE.enabled
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Scope in which the calling thread records no graph.
+
+    The flag is thread-local: a serving thread inside ``no_grad`` never
+    stops another thread's training graph from recording.  Nesting and
+    exceptions restore the previous state.
+    """
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
+    try:
+        yield
+    finally:
+        _GRAD_MODE.enabled = previous
 
 
 def _as_array(data: ArrayLike) -> np.ndarray:
@@ -163,7 +196,7 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires_grad = any(p.requires_grad for p in parents)
+        requires_grad = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
         if not requires_grad:
             return Tensor(data, requires_grad=False)
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)

@@ -7,12 +7,13 @@ and evaluates the bag-level heads vectorized, which multiplies serving
 throughput (see ``benchmarks/test_bench_serve.py``) while returning the exact
 same distributions as the per-bag path.
 
-The padded-batch machinery itself lives in the shared layer :mod:`repro.batch`
-(training uses its autograd-capable sibling); this package re-exports the
-serving half and adds the request/response API:
+The padded-batch machinery itself lives in the shared layer :mod:`repro.batch`,
+whose one batched forward also trains; this package re-exports its serving
+entry point and adds the request/response API:
 
 * :mod:`repro.batch.merging` — merge encoded bags into one "superbag";
-* :mod:`repro.batch.inference` — vectorized serving forward pass;
+* :func:`repro.batch.batched_predict_probabilities` — the batched forward in
+  prediction mode, under a thread-local :func:`repro.nn.no_grad`;
 * :mod:`repro.serve.service` — :class:`PredictionService`, the user-facing
   request/response API.
 

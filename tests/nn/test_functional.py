@@ -8,7 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
+
+# Segment layouts for the pooling parity tests: empty segments, padding
+# (-1) tails, and a row that is padding throughout.
+PIECEWISE_SEGMENTS = [
+    np.array([[0, 0, 1, 1, 2, 2], [0, 1, 2, -1, -1, -1], [1, 1, 1, -1, -1, -1]]),
+    np.array([[0, 1, 2, 2, -1, -1], [-1, -1, -1, -1, -1, -1], [2, 2, 2, 2, 2, 2]]),
+]
+# Sequence masks: none, partial, and a fully masked row.
+SEQUENCE_MASKS = [
+    None,
+    np.array([[1, 1, 1, 1, 1, 0], [1, 0, 0, 0, 0, 0], [0, 1, 1, 0, 1, 1]], dtype=bool),
+    np.array([[1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1]], dtype=bool),
+]
 
 
 class TestSoftmaxFamily:
@@ -282,6 +295,40 @@ class TestConvolutionAndPooling:
         segments = np.array([[0, 0, 1]])  # segment 2 empty
         out = F.piecewise_max_pool(x, segments).data
         np.testing.assert_allclose(out[0, 4:], [0.0, 0.0])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("segments", PIECEWISE_SEGMENTS)
+    def test_piecewise_max_pool_forward_only_matches_recording(self, segments, dtype):
+        # Under no_grad the op reduces with a masked max instead of the
+        # argmax/gather its backward needs; the values must be bit-equal,
+        # and equal to a naive per-segment max (zero for empty segments).
+        x = np.random.default_rng(2).standard_normal((3, 6, 2)).astype(dtype)
+        recorded = F.piecewise_max_pool(Tensor(x, requires_grad=True), segments)
+        with no_grad():
+            forward_only = F.piecewise_max_pool(Tensor(x, requires_grad=True), segments)
+        assert recorded.requires_grad and not forward_only.requires_grad
+        assert forward_only.dtype == recorded.dtype == dtype
+        np.testing.assert_array_equal(forward_only.data, recorded.data)
+        for row in range(3):
+            for seg in range(3):
+                positions = np.flatnonzero(segments[row] == seg)
+                expected = x[row, positions].max(axis=0) if positions.size else np.zeros(2)
+                np.testing.assert_array_equal(
+                    forward_only.data[row, seg * 2:(seg + 1) * 2], expected
+                )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("mask", SEQUENCE_MASKS)
+    def test_max_pool_sequence_forward_only_matches_recording(self, mask, dtype):
+        x = np.random.default_rng(3).standard_normal((3, 6, 4)).astype(dtype)
+        recorded = F.max_pool_sequence(Tensor(x, requires_grad=True), mask=mask)
+        with no_grad():
+            forward_only = F.max_pool_sequence(Tensor(x, requires_grad=True), mask=mask)
+        assert recorded.requires_grad and not forward_only.requires_grad
+        assert forward_only.dtype == recorded.dtype == dtype
+        np.testing.assert_array_equal(forward_only.data, recorded.data)
+        if mask is not None:
+            np.testing.assert_array_equal(forward_only.data[~mask.any(axis=1)], 0.0)
 
     def test_piecewise_max_pool_rejects_bad_shape(self):
         with pytest.raises(ValueError):

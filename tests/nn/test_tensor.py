@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.tensor import Tensor, concatenate, ones, stack, tensor, where, zeros
+from repro.nn.tensor import (
+    Tensor,
+    concatenate,
+    is_grad_enabled,
+    no_grad,
+    ones,
+    stack,
+    tensor,
+    where,
+    zeros,
+)
 
 
 class TestTensorBasics:
@@ -380,3 +392,54 @@ class TestDefaultDtype:
             with default_dtype(np.float32):
                 raise RuntimeError("boom")
         assert get_default_dtype() == before
+
+
+class TestNoGrad:
+    def test_ops_record_no_graph_inside(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        with no_grad():
+            out = (a * 3.0).sum()
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+        recorded = (a * 3.0).sum()
+        recorded.backward()
+        np.testing.assert_array_equal(a.grad, [3.0, 3.0])
+
+    def test_nesting_restores_previous_state(self):
+        assert is_grad_enabled()
+        with no_grad():
+            with no_grad():
+                assert not is_grad_enabled()
+            assert not is_grad_enabled()
+        assert is_grad_enabled()
+
+    def test_exception_restores_previous_state(self):
+        with pytest.raises(KeyError):
+            with no_grad():
+                raise KeyError("boom")
+        assert is_grad_enabled()
+        with no_grad():
+            with pytest.raises(KeyError):
+                with no_grad():
+                    raise KeyError("boom")
+            assert not is_grad_enabled()
+        assert is_grad_enabled()
+
+    def test_state_is_per_thread(self):
+        seen = []
+        entered, checked = threading.Event(), threading.Event()
+
+        def other_thread():
+            entered.wait(timeout=10)
+            a = Tensor([1.0], requires_grad=True)
+            seen.append((is_grad_enabled(), (a * 2.0).requires_grad))
+            checked.set()
+
+        worker = threading.Thread(target=other_thread)
+        worker.start()
+        with no_grad():
+            entered.set()
+            assert checked.wait(timeout=10)
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert seen == [(True, True)]

@@ -198,16 +198,6 @@ class TestWorkspace:
 # Kernels
 # ---------------------------------------------------------------------- #
 class TestKernels:
-    def test_softmax_matches_manual(self):
-        backend = get_backend("reference")
-        x = np.random.default_rng(0).standard_normal((5, 7))
-        shifted = x - x.max(axis=1, keepdims=True)
-        expected = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-        np.testing.assert_array_equal(backend.softmax(x, axis=1), expected)
-        out = np.empty_like(x)
-        assert backend.softmax(x, axis=1, out=out) is out
-        np.testing.assert_array_equal(out, expected)
-
     def test_conv_window_gather_matches_conv1d(self):
         # im2col + matmul must reproduce the autograd conv bit-for-bit.
         from repro import nn
@@ -225,31 +215,6 @@ class TestKernels:
         w_mat = conv.weight.data.reshape(6, -1)
         got = backend.matmul(col, w_mat.T) + conv.bias.data
         np.testing.assert_array_equal(got, expected)
-
-    def test_segment_max_matches_naive(self):
-        backend = get_backend("reference")
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((3, 6, 2))
-        segments = np.array(
-            [[0, 0, 1, 1, 2, 2], [0, 1, 2, -1, -1, -1], [1, 1, 1, -1, -1, -1]]
-        )
-        got = backend.segment_max(x, segments, num_segments=3)
-        assert got.shape == (3, 6)
-        for row in range(3):
-            for seg in range(3):
-                positions = np.flatnonzero(segments[row] == seg)
-                expected = x[row, positions].max(axis=0) if positions.size else np.zeros(2)
-                np.testing.assert_array_equal(got[row, seg * 2:(seg + 1) * 2], expected)
-
-    def test_gather_rows_out_path(self):
-        backend = get_backend("reference")
-        table = np.arange(12.0).reshape(4, 3)
-        indices = np.array([[3, 0], [1, 1]])
-        expected = table[indices]
-        np.testing.assert_array_equal(backend.gather_rows(table, indices), expected)
-        out = np.empty((2, 2, 3))
-        assert backend.gather_rows(table, indices, out=out) is out
-        np.testing.assert_array_equal(out, expected)
 
 
 # ---------------------------------------------------------------------- #
@@ -331,62 +296,3 @@ class TestFastServeParity:
         for index in (0, 3, 7):
             single = service.predict_encoded([bags[index]])[0]
             np.testing.assert_allclose(single, batch_rows[index], atol=1e-6)
-
-
-@pytest.mark.skipif(
-    "torch" not in available_backends(), reason="torch is not installed"
-)
-class TestTorchBackend:
-    def test_matmul_matches_numpy(self):
-        backend = get_backend("torch")
-        rng = np.random.default_rng(3)
-        a, b = rng.standard_normal((4, 5)), rng.standard_normal((5, 6))
-        np.testing.assert_allclose(backend.matmul(a, b), a @ b, atol=1e-12)
-
-    def test_gather_rows_matches_numpy(self):
-        backend = get_backend("torch")
-        table = np.arange(20.0).reshape(5, 4)
-        indices = np.array([4, 0, 2])
-        np.testing.assert_array_equal(backend.gather_rows(table, indices), table[indices])
-
-    def test_registry_lists_torch(self):
-        # When torch imports, registration happens at module import time and
-        # the backend resolves by name with a neutral dtype policy.
-        assert "torch" in available_backends()
-        backend = get_backend("torch")
-        assert backend.name == "torch"
-        assert backend.serve_dtype is None and backend.train_dtype is None
-
-    def test_single_fused_training_step_matches_reference(self, nyt_context):
-        """One optimizer step under pinned torch kernels tracks the reference.
-
-        Torch's dtype policy is neutral, so a pinned-torch step differs from
-        reference only by the kernel execution engine; the fused in-place
-        optimizer must land within float64 round-off of the reference step.
-        """
-        from repro.baselines.registry import build_method
-        from repro.config import TrainingConfig
-        from repro.training.trainer import Trainer
-
-        bags = nyt_context.train_encoded[:6]
-        params = {}
-        for name in ("reference", "torch"):
-            model = build_method(
-                "pa_tmr",
-                vocab_size=nyt_context.vocab_size,
-                num_relations=nyt_context.num_relations,
-                model_config=nyt_context.model_config,
-                training_config=nyt_context.training_config,
-                kb=nyt_context.bundle.kb,
-                entity_embeddings=nyt_context.entity_embeddings,
-                seed=0,
-            ).model
-            config = TrainingConfig(
-                epochs=1, batch_size=6, optimizer="adam", seed=0, backend=name
-            )
-            trainer = Trainer(model, nyt_context.num_relations, config)
-            model.train()
-            trainer.train_batch(bags)
-            params[name] = [param.data.copy() for param in model.parameters()]
-        for expected, actual in zip(params["reference"], params["torch"]):
-            np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-10)

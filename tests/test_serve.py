@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import repro
+from repro.baselines.registry import build_method
+from repro.config import TrainingConfig
 from repro.corpus.bags import SentenceExample
 from repro.exceptions import DataError
 from repro.experiments.pipeline import train_and_evaluate
+from repro.training.trainer import Trainer
 from repro.serve import (
     PredictionRequest,
     PredictionService,
@@ -75,6 +81,67 @@ class TestBatchedForwardParity:
         batched_predict_probabilities(model, nyt_context.test_encoded[:2])
         assert model.training
         model.eval()
+
+
+class TestServingAlongsideTraining:
+    """Serving runs under a thread-local ``no_grad``; training must not notice."""
+
+    @staticmethod
+    def _fit(context):
+        model = build_method(
+            "pa_tmr",
+            vocab_size=context.vocab_size,
+            num_relations=context.num_relations,
+            model_config=context.model_config,
+            training_config=context.training_config,
+            kb=context.bundle.kb,
+            entity_embeddings=context.entity_embeddings,
+            seed=0,
+        ).model
+        config = TrainingConfig(
+            epochs=2, batch_size=7, learning_rate=0.01, optimizer="adam", seed=0
+        )
+        result = Trainer(model, context.num_relations, config).fit(
+            context.train_encoded[:42]
+        )
+        return result, [param.data.copy() for param in model.parameters()]
+
+    def test_training_thread_unaffected_by_concurrent_serving(
+        self, nyt_context, trained_pa_tmr
+    ):
+        solo_result, solo_params = self._fit(nyt_context)
+
+        service = PredictionService.from_context(nyt_context, trained_pa_tmr[0].model)
+        bags = nyt_context.test_encoded[:16]
+        expected = service.predict_encoded(bags)
+        served, stop = [], threading.Event()
+
+        def serve_loop():
+            while not stop.is_set():
+                served.append(service.predict_encoded(bags))
+
+        server = threading.Thread(target=serve_loop)
+        switch_interval = sys.getswitchinterval()
+        # Switch threads often so serving and training interleave op by op.
+        sys.setswitchinterval(1e-5)
+        server.start()
+        try:
+            while not served and server.is_alive():
+                stop.wait(0.001)
+            result, params = self._fit(nyt_context)
+            passes_during_fit = len(served)
+        finally:
+            stop.set()
+            server.join(timeout=60)
+            sys.setswitchinterval(switch_interval)
+
+        assert not server.is_alive()
+        assert passes_during_fit > 1
+        assert result.batch_losses == solo_result.batch_losses
+        for actual, solo in zip(params, solo_params):
+            np.testing.assert_array_equal(actual, solo)
+        for answer in served:
+            np.testing.assert_array_equal(answer, expected)
 
 
 class TestPredictionService:
