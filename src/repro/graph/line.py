@@ -7,11 +7,23 @@ representation concatenates the two embeddings.
 
 The trainer below uses the closed-form gradients of the negative-sampling
 objective and plain SGD with edge sampling, exactly like the reference LINE
-implementation (autograd is unnecessary here and would be much slower).  Two
-array-level optimisations keep the step loop fast: edge indices, orientation
-flips and negative vertices are pre-drawn in chunks of many SGD steps at a
-time (amortising the per-call sampling overhead), and the positive/negative
-context-gradient scatters are fused into a single ``np.add.at`` call.
+implementation (autograd is unnecessary here and would be much slower).
+Array-level optimisations keep the step loop fast:
+
+* edge indices, orientation flips and negative vertices are pre-drawn in
+  chunks of many SGD steps at a time (amortising the per-call sampling
+  overhead);
+* each step writes its ``-lr``-scaled gradients for the update rows
+  ``[sources | targets | negatives]`` once, into one buffer in the table's
+  dtype;
+* the updates land through one 1-D ``np.add.at`` per table, at the flat
+  offsets ``row * d + column`` of the flattened table.  numpy runs a 1-D
+  ``ufunc.at`` on its fast path, unlike a 2-D ``np.add.at(table, rows, ...)``.
+
+Byte-identity contract: every table element receives its additions in the
+same order as the row scatter did, so the tables and the loss history are
+bit-for-bit those of the row-scatter trainer (``tests/test_graph_kernels.py``).
+Cached LINE artifacts therefore stay valid.
 """
 
 from __future__ import annotations
@@ -29,6 +41,11 @@ from .proximity import EntityProximityGraph
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+
+
+def _flat_view(table: np.ndarray) -> np.ndarray:
+    """1-D view of a C-contiguous table (raises rather than copy)."""
+    return table.reshape(-1, copy=False)
 
 
 @dataclass
@@ -197,25 +214,6 @@ class LineEmbeddingTrainer:
                 span = slice(step * batch, (step + 1) * batch)
                 yield sources[span], targets[span], negatives[step]
 
-    def _sample_batch(self, batch_size: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sample one (sources, positive targets, negative targets) batch.
-
-        Shapes are (B,), (B,), (B, K); kept for ad-hoc inspection — the
-        training loop draws through :meth:`_sample_chunks`.
-        """
-        edge_indices = self._edge_sampler.sample(self._rng, size=batch_size)
-        sources = self._sources[edge_indices]
-        targets = self._targets[edge_indices]
-        flip = self._rng.random(batch_size) < 0.5
-        sources, targets = (
-            np.where(flip, targets, sources),
-            np.where(flip, sources, targets),
-        )
-        negatives = self._negative_sampler.sample(
-            self._rng, size=batch_size * self.config.negative_samples
-        ).reshape(batch_size, self.config.negative_samples)
-        return sources, targets, negatives
-
     # ------------------------------------------------------------------ #
     # SGD steps (closed-form negative-sampling gradients)
     # ------------------------------------------------------------------ #
@@ -239,11 +237,14 @@ class LineEmbeddingTrainer:
         targets: np.ndarray,
         negatives: np.ndarray,
         lr: float,
+        flat: np.ndarray,
     ) -> float:
         """One negative-sampling SGD step; returns the mean batch loss.
 
         For first-order proximity the "context" table is the vertex table
         itself; for second-order proximity it is the separate context table.
+        ``flat`` holds the flat table offsets of the update rows, from
+        :meth:`_step`.
         """
         u = self._gather(vertex_table, sources, "line.u")          # (B, d)
         v_pos = self._gather(context_table, targets, "line.v_pos")  # (B, d)
@@ -256,29 +257,55 @@ class LineEmbeddingTrainer:
 
         loss = -np.log(pos_sig + 1e-12).mean() - np.log(1.0 - neg_sig + 1e-12).sum(axis=1).mean()
 
-        # Gradients of the negative-sampling objective.
+        # Gradients of the negative-sampling objective, scaled by -lr and
+        # written once into the update rows [sources | targets | negatives].
+        # All of them come from the pre-update tables, so the scatters of
+        # one table can be fused into one call.
         grad_pos = (pos_sig - 1.0)[:, None]             # d loss / d (u . v_pos)
-        grad_neg = neg_sig[:, :, None]                  # d loss / d (u . v_neg)
+        # d loss / d (u . v_neg) is neg_sig itself.
 
+        batch, k = negatives.shape
         d = vertex_table.shape[1]
-        grad_u = grad_pos * v_pos + np.einsum("bk,bkd->bd", neg_sig, v_neg)
-        grad_v_pos = grad_pos * u
-        grad_v_neg = (grad_neg * u[:, None, :]).reshape(-1, d)
-
-        # All gradients are computed from the pre-update tables, so the
-        # positive and negative context scatters can be fused into one call.
-        context_indices = np.concatenate([targets, negatives.reshape(-1)])
-        context_updates = np.concatenate([-lr * grad_v_pos, -lr * grad_v_neg])
-        if vertex_table is context_table:
-            np.add.at(
-                vertex_table,
-                np.concatenate([sources, context_indices]),
-                np.concatenate([-lr * grad_u, context_updates]),
-            )
+        shape = ((2 + k) * batch, d)
+        if self._workspace is None:
+            updates = np.empty(shape, dtype=vertex_table.dtype)
         else:
-            np.add.at(vertex_table, sources, -lr * grad_u)
-            np.add.at(context_table, context_indices, context_updates)
+            updates = self._workspace.request("line.updates", shape, vertex_table.dtype)
+        grad_u, grad_v_pos = updates[:batch], updates[batch:2 * batch]
+        grad_v_neg = updates[2 * batch:].reshape(batch, k, d)
+        np.multiply(grad_pos, v_pos, out=grad_u)
+        np.add(grad_u, np.einsum("bk,bkd->bd", neg_sig, v_neg), out=grad_u)
+        np.multiply(grad_pos, u, out=grad_v_pos)
+        # The same single products as a broadcast multiply, about twice as fast.
+        np.einsum("bk,bd->bkd", neg_sig, u, out=grad_v_neg)
+        np.multiply(updates, -lr, out=updates)
+
+        if vertex_table is context_table:
+            np.add.at(_flat_view(vertex_table), flat, updates.reshape(-1))
+        else:
+            np.add.at(_flat_view(vertex_table), flat[:batch * d], grad_u.reshape(-1))
+            np.add.at(_flat_view(context_table), flat[batch * d:], updates[batch:].reshape(-1))
         return float(loss)
+
+    def _step(
+        self, sources: np.ndarray, targets: np.ndarray, negatives: np.ndarray, lr: float
+    ) -> Tuple[float, float]:
+        """One SGD step of both objectives; returns their mean batch losses.
+
+        Both share ``flat``: the offsets ``row * d + column`` of the update
+        rows [sources | targets | negatives] in a flattened table, at which
+        their 1-D ``np.add.at`` scatters land (see the module docstring).
+        """
+        d = self.config.order_dim
+        rows = np.concatenate([sources, targets, negatives.reshape(-1)])
+        flat = ((rows * d)[:, None] + np.arange(d)).reshape(-1)
+        loss1 = self._step_order(
+            self.first_order, self.first_order, sources, targets, negatives, lr, flat
+        )
+        loss2 = self._step_order(
+            self.second_order, self.second_context, sources, targets, negatives, lr, flat
+        )
+        return loss1, loss2
 
     # ------------------------------------------------------------------ #
     # Training loop
@@ -301,13 +328,7 @@ class LineEmbeddingTrainer:
             for step_in_epoch in range(steps_per_epoch):
                 step = epoch * steps_per_epoch + step_in_epoch
                 lr = self.config.learning_rate * max(0.0001, 1.0 - step / total_steps)
-                sources, targets, negatives = next(batches)
-                loss1 = self._step_order(
-                    self.first_order, self.first_order, sources, targets, negatives, lr
-                )
-                loss2 = self._step_order(
-                    self.second_order, self.second_context, sources, targets, negatives, lr
-                )
+                loss1, loss2 = self._step(*next(batches), lr)
                 epoch_sum1 += loss1
                 epoch_sum2 += loss2
             self._history["first_order_loss"].append(epoch_sum1 / steps_per_epoch)
@@ -394,14 +415,7 @@ class LineEmbeddingTrainer:
             negatives = touched[
                 negative_sampler.sample(self._rng, size=batch * k).reshape(batch, k)
             ]
-            self._step_order(
-                self.first_order, self.first_order,
-                step_sources, step_targets, negatives, lr,
-            )
-            self._step_order(
-                self.second_order, self.second_context,
-                step_sources, step_targets, negatives, lr,
-            )
+            self._step(step_sources, step_targets, negatives, lr)
         return touched
 
     # ------------------------------------------------------------------ #

@@ -18,10 +18,10 @@ neighbourhood while well-connected entities are barely changed, which is
 exactly the failure mode the paper wants to fix.
 
 The propagation operator is applied through the graph's CSR arrays — a
-sparse matvec with O(edges) work and memory per layer — so no dense n x n
-adjacency is ever materialised on the default path.  The dense
-:func:`normalized_adjacency` builder is kept as the executable reference the
-parity tests compare against.
+sparse matvec with O(edges) work per layer, summed in cache-sized blocks of
+whole rows — so no dense n x n adjacency is ever materialised on the default
+path.  The dense :func:`normalized_adjacency` builder is kept as the
+executable reference the parity tests compare against.
 """
 
 from __future__ import annotations
@@ -56,21 +56,63 @@ def normalized_adjacency(graph: EntityProximityGraph) -> np.ndarray:
     return adjacency * inverse_sqrt[:, None] * inverse_sqrt[None, :]
 
 
-def _csr_matmat(
-    indptr: np.ndarray, indices: np.ndarray, values: np.ndarray, matrix: np.ndarray
-) -> np.ndarray:
-    """Sparse-dense product ``A @ matrix`` for a CSR-encoded square ``A``.
+# Contribution bytes per block of the CSR kernel: small enough that a
+# block's gathered rows stay in cache between the gather, the weighting and
+# the row sums.
+_BLOCK_BYTES = 1 << 20
 
-    Per-edge contributions are summed row-by-row with ``np.add.reduceat``;
-    work and peak memory are O(nnz * dim).
+
+def _csr_matmat(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    values: np.ndarray,
+    matrix: np.ndarray,
+    rows: Optional[np.ndarray] = None,
+    row_scale: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Sparse-dense product ``(A @ (s * matrix))[rows]`` for a CSR-encoded ``A``.
+
+    ``rows`` defaults to every row and ``row_scale`` (``s``, one factor per
+    row of ``matrix``) to no scaling.  Edge ``(i, j)`` contributes
+    ``A[i, j] * (s[j] * matrix[j])`` and each output row sums its
+    contributions with one ``np.add.reduceat`` segment.  The rows are cut
+    into blocks of whole rows holding about ``_BLOCK_BYTES`` of
+    contributions, so the working set stays in cache.  No row's segment is
+    ever split and each sum runs in CSR order, so the result is
+    bit-identical to one reduceat over all the contributions.
     """
-    n = indptr.size - 1
-    out = np.zeros((n, matrix.shape[1]))
-    if indices.size == 0:
-        return out
-    contributions = values[:, None] * matrix[indices]
-    nonempty = indptr[1:] > indptr[:-1]
-    out[nonempty] = np.add.reduceat(contributions, indptr[:-1][nonempty], axis=0)
+    dim = matrix.shape[1]
+    if rows is None:
+        starts, ends = indptr[:-1], indptr[1:]
+    else:
+        starts, ends = indptr[rows], indptr[rows + 1]
+    sizes = ends - starts
+    out = np.zeros((sizes.size, dim))
+    offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    block_edges = max(1, _BLOCK_BYTES // (matrix.itemsize * dim))
+    first = 0
+    while first < sizes.size:
+        # Rows [first, last) are the whole rows whose contributions fit in
+        # one block; a row longer than a block gets a block of its own.
+        last = int(np.searchsorted(offsets, offsets[first] + block_edges, side="right")) - 1
+        last = max(last, first + 1)
+        lo, hi = int(offsets[first]), int(offsets[last])
+        if hi > lo:
+            if rows is None:
+                edges = slice(lo, hi)
+            else:
+                edges = concat_ranges(starts[first:last], sizes[first:last])
+            neighbours = indices[edges]
+            contributions = matrix[neighbours]
+            if row_scale is not None:
+                np.multiply(row_scale[neighbours][:, None], contributions, out=contributions)
+            np.multiply(values[edges][:, None], contributions, out=contributions)
+            nonempty = sizes[first:last] > 0
+            out[first:last][nonempty] = np.add.reduceat(
+                contributions, offsets[first:last][nonempty] - lo, axis=0
+            )
+        first = last
     return out
 
 
@@ -234,23 +276,7 @@ def propagate_embeddings_incremental(
 
     current = base.copy()
     for rows in layer_rows:
-        starts = indptr[rows]
-        sizes = indptr[rows + 1] - starts
-        flat = concat_ranges(starts, sizes)
-        summed = np.zeros((rows.size, base.shape[1]))
-        if flat.size:
-            gathered = indices[flat]
-            # Same elementwise order as propagate_embeddings: scale the
-            # neighbour rows first, then weight the contributions.
-            contributions = weights[flat][:, None] * (
-                inverse_sqrt[gathered][:, None] * current[gathered]
-            )
-            local_starts = np.zeros(rows.size, dtype=np.int64)
-            np.cumsum(sizes[:-1], out=local_starts[1:])
-            nonempty = sizes > 0
-            summed[nonempty] = np.add.reduceat(
-                contributions, local_starts[nonempty], axis=0
-            )
+        summed = _csr_matmat(indptr, indices, weights, current, rows, inverse_sqrt)
         scaled_rows = inverse_sqrt[rows][:, None] * current[rows]
         smoothed = inverse_sqrt[rows][:, None] * (summed + scaled_rows)
         current[rows] = (1.0 - alpha) * smoothed + alpha * base[rows]
