@@ -182,9 +182,9 @@ class Session:
         method is trained through :meth:`train` first, reusing the context's
         per-method cache, so repeated calls do not retrain.
 
-        ``backend`` picks the compute backend (``"reference"``, ``"fast"``,
-        ...); it defaults to the profile's ``serve_backend``, and ``None``
-        keeps the ambient backend with unchanged float64 numerics.
+        ``backend`` picks the compute backend (``"reference"`` or
+        ``"fast"``); it defaults to the profile's ``serve_backend``, and
+        ``None`` serves with the model's float64 numerics.
         """
         if isinstance(method_or_model, str):
             method_or_model = self.train(method_or_model, dataset=dataset)[0]

@@ -33,11 +33,20 @@ Parity is by construction (enforced by ``tests/test_batch_training.py`` and
   like the sequential per-bag draws it replaces (numpy ``Generator.random``
   fills any requested shape from the bit stream in order), so batched and
   per-bag training agree even with dropout enabled.
+
+Every per-batch scratch array (padded token matrices, masks, gather plans,
+the convolution's im2col and gradient buffers) comes from a
+:class:`~repro.nn.backend.Workspace`.  Callers that run many batches (the
+:class:`~repro.training.Trainer`, :class:`~repro.serve.PredictionService`)
+pass one workspace and stop allocating once they have seen their widest
+batch; without one, each call pools into a fresh workspace of its own.  A
+pooled buffer is only rewritten by the next call against the same
+workspace, after the previous graph's backward has run.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -50,7 +59,7 @@ from ..encoders.pcnn import NUM_SEGMENTS as PCNN_NUM_SEGMENTS
 from ..encoders.pcnn import PCNNEncoder, _align_segments
 from ..exceptions import ModelError
 from ..nn import functional as F
-from ..nn.backend import ArrayBackend, Workspace, resolve_backend
+from ..nn.backend import Workspace
 from ..nn.tensor import Tensor, no_grad
 from .merging import (
     BagBatchLike,
@@ -85,7 +94,6 @@ def supports_batched_training(model: object) -> bool:
 def batched_train_logits(
     model: NeuralREModel,
     bags: BagBatchLike,
-    backend: Union[None, str, ArrayBackend] = None,
     workspace: Optional[Workspace] = None,
 ) -> Tensor:
     """Combined training logits of shape ``(num_bags, num_relations)``.
@@ -98,24 +106,22 @@ def batched_train_logits(
     vectorized graph, which is what makes training a hot path instead of a
     python loop (see ``benchmarks/test_bench_train.py``).
 
-    ``backend`` resolves through the ambient layers
-    (:func:`repro.nn.backend.resolve_backend`); when it reuses workspaces and
-    a ``workspace`` is supplied, batch assembly, helper masks/index plans and
-    the convolution's im2col/gradient scratch land in pooled buffers that are
-    reused across mini-batches.  The pooled formulations run the identical
-    ufunc sequences as the allocating ones, so results are bit-identical
-    whichever backend is ambient — dtype policy is the
-    :class:`~repro.training.Trainer`'s job, not this function's.
+    Batch assembly, helper masks/index plans and the convolution's
+    im2col/gradient scratch land in ``workspace`` (a fresh one when
+    ``None``), so a caller passing the same workspace for every mini-batch
+    reuses the buffers.  Run the backward before the next call against the
+    same workspace.  The compute dtype follows the model's parameters —
+    dtype policy is the :class:`~repro.training.Trainer`'s job, not this
+    function's.
     """
     if len(bags) == 0:
         raise ModelError("batched training forward needs at least one bag")
-    return _batched_logits(model, bags, backend, workspace, gold_attention=True)
+    return _batched_logits(model, bags, workspace, gold_attention=True)
 
 
 def batched_predict_probabilities(
     model: NeuralREModel,
     bags: BagBatchLike,
-    backend: Union[None, str, ArrayBackend] = None,
     workspace: Optional[Workspace] = None,
 ) -> np.ndarray:
     """Relation probability distributions for many bags in one pass.
@@ -135,7 +141,7 @@ def batched_predict_probabilities(
         model.eval()
     try:
         with no_grad():
-            logits = _batched_logits(model, bags, backend, workspace, gold_attention=False)
+            logits = _batched_logits(model, bags, workspace, gold_attention=False)
             return F.softmax(Tensor(logits.data.astype(np.float64, copy=False))).data
     finally:
         if was_training:
@@ -145,7 +151,6 @@ def batched_predict_probabilities(
 def _batched_logits(
     model: NeuralREModel,
     bags: BagBatchLike,
-    backend: Union[None, str, ArrayBackend],
     workspace: Optional[Workspace],
     *,
     gold_attention: bool,
@@ -161,17 +166,16 @@ def _batched_logits(
             f"model {type(model).__name__} is not supported by the batched "
             "forward; use its per-bag forward"
         )
-    backend = resolve_backend(backend)
-    if workspace is not None and not backend.reuse_workspace:
-        workspace = None
+    if workspace is None:
+        workspace = Workspace()
     batch = as_merged_batch(bags, workspace=workspace)
-    representations = _sentence_representations(model, batch, backend, workspace)
+    representations = _sentence_representations(model, batch, workspace)
     re_logits = _aggregator_logits(
         model.base_model.aggregator, representations, batch,
-        batch.labels if gold_attention else None, backend, workspace,
+        batch.labels if gold_attention else None, workspace,
     )
     type_logits = (
-        _type_head_logits(model.type_head, batch, backend, workspace)
+        _type_head_logits(model.type_head, batch, workspace)
         if model.type_head is not None
         else None
     )
@@ -191,8 +195,7 @@ def _batched_logits(
 def _sentence_representations(
     model: NeuralREModel,
     batch: MergedBagBatch,
-    backend: ArrayBackend,
-    workspace: Optional[Workspace],
+    workspace: Workspace,
 ) -> Tensor:
     """Encoded (and dropout-masked) sentence vectors: ``(total_sentences, dim)``."""
     base = model.base_model
@@ -202,24 +205,22 @@ def _sentence_representations(
     # Columns beyond a bag's own width hold embedded pad tokens whose position
     # embeddings are non-zero; the per-bag arrays end at the bag's width, so
     # those columns must be true zeros with zero gradient.
-    mask_f = backend.scratch(
-        workspace, "train.width_mask", within_width.shape + (1,), embedded.dtype
+    mask_f = workspace.request(
+        "train.width_mask", within_width.shape + (1,), embedded.dtype
     )
     mask_f[..., 0] = within_width  # bool write: exact 0.0/1.0, same as astype
     embedded = embedded * Tensor(mask_f)
     encoder = base.encoder
     if isinstance(encoder, CNNEncoder):
         representations = _cnn_representations(
-            encoder, embedded, batch, widths, backend, workspace
+            encoder, embedded, batch, widths, workspace
         )
-    elif isinstance(encoder, PCNNEncoder) and workspace is not None:
-        representations = _pcnn_representations(
-            encoder, embedded, batch, backend, workspace
-        )
+    elif isinstance(encoder, PCNNEncoder):
+        representations = _pcnn_representations(encoder, embedded, batch, workspace)
     else:
-        # The merged bag's segment ids (PCNN) and mask (GRU) already exclude
-        # everything at or beyond each bag's own width, so the per-bag encoder
-        # modules run unchanged with the merged sentence axis as their batch.
+        # The merged bag's mask already excludes everything at or beyond each
+        # bag's own width, so the per-bag GRU encoder runs unchanged with the
+        # merged sentence axis as its batch.
         representations = encoder(embedded, batch.merged)
     return base.dropout(representations)
 
@@ -229,8 +230,7 @@ def _cnn_representations(
     embedded: Tensor,
     batch: MergedBagBatch,
     widths: np.ndarray,
-    backend: ArrayBackend,
-    workspace: Optional[Workspace],
+    workspace: Workspace,
 ) -> Tensor:
     """CNN encoder forward restricted to each bag's own output length.
 
@@ -239,7 +239,7 @@ def _cnn_representations(
     the merged pass must exclude the extra positions the wider batch
     introduces (they do not exist in the per-bag path).
     """
-    convolved = _conv1d_pooled(encoder.conv, embedded, backend, workspace)
+    convolved = _conv1d_pooled(encoder.conv, embedded, workspace)
     mask = cnn_pooling_mask(
         batch, widths, convolved.shape[1], encoder.window_size, encoder.conv.padding
     )
@@ -250,17 +250,17 @@ def _pcnn_representations(
     encoder: PCNNEncoder,
     embedded: Tensor,
     batch: MergedBagBatch,
-    backend: ArrayBackend,
-    workspace: Optional[Workspace],
+    workspace: Workspace,
 ) -> Tensor:
     """PCNN forward with the convolution's scratch pooled across batches.
 
     Replays :meth:`PCNNEncoder.forward` exactly — conv, segment alignment,
     piecewise max pooling, tanh — with the conv going through
     :func:`_conv1d_pooled`, so values and gradients are bit-identical to the
-    module path.
+    module path.  The merged bag's segment ids already exclude everything at
+    or beyond each bag's own width.
     """
-    convolved = _conv1d_pooled(encoder.conv, embedded, backend, workspace)
+    convolved = _conv1d_pooled(encoder.conv, embedded, workspace)
     segments = _align_segments(
         batch.merged.segment_ids, convolved.shape[1], encoder.conv.padding
     )
@@ -268,9 +268,7 @@ def _pcnn_representations(
     return pooled.tanh()
 
 
-def _conv1d_pooled(
-    conv, x: Tensor, backend: ArrayBackend, workspace: Optional[Workspace]
-) -> Tensor:
+def _conv1d_pooled(conv, x: Tensor, workspace: Workspace) -> Tensor:
     """``conv(x)`` with im2col and gradient scratch pooled across batches.
 
     The padded copy, im2col buffer, convolution output and both backward
@@ -279,17 +277,13 @@ def _conv1d_pooled(
     story.  The op sequence mirrors :func:`repro.nn.functional.conv1d`
     exactly (zero-padded copy, window gather, matmul against the flattened
     filter bank, bias add; the transposed ops in backward), so outputs and
-    gradients are bit-identical to the module path.  Without a workspace the
-    module forward runs unchanged.
+    gradients are bit-identical to the module path.
     """
-    if workspace is None:
-        return conv(x)
     weight, bias, padding = conv.weight, conv.bias, conv.padding
     batch_rows, length, in_channels = x.shape
     out_channels, window, _ = weight.shape
     if padding > 0:
-        padded = backend.scratch_filled(
-            workspace,
+        padded = workspace.request_filled(
             "train.conv.padded",
             (batch_rows, length + 2 * padding, in_channels),
             x.dtype,
@@ -299,17 +293,16 @@ def _conv1d_pooled(
     else:
         padded = x.data
     out_length = padded.shape[1] - window + 1
-    col = backend.conv_window_gather(
-        padded,
-        window,
-        out=workspace.request(
-            "train.conv.col",
-            (batch_rows, out_length, window * in_channels),
-            padded.dtype,
-        ),
+    # im2col, in the column layout of repro.nn.functional.conv1d.
+    col = workspace.request(
+        "train.conv.col", (batch_rows, out_length, window * in_channels), padded.dtype
     )
+    for offset in range(window):
+        col[:, :, offset * in_channels:(offset + 1) * in_channels] = (
+            padded[:, offset:offset + out_length, :]
+        )
     w_mat = weight.data.reshape(out_channels, window * in_channels)
-    out_data = backend.matmul(
+    out_data = np.matmul(
         col,
         w_mat.T,
         out=workspace.request(
@@ -331,11 +324,11 @@ def _conv1d_pooled(
         weight._accumulate(grad_w_mat.reshape(weight.shape))
         if bias is not None:
             bias._accumulate(grad.sum(axis=(0, 1)))
-        grad_col = backend.matmul(
+        grad_col = np.matmul(
             grad, w_mat, out=workspace.request("train.conv.grad_col", col.shape, col.dtype)
         )
-        grad_padded = backend.scratch_filled(
-            workspace, "train.conv.grad_padded", padded.shape, padded.dtype, 0.0
+        grad_padded = workspace.request_filled(
+            "train.conv.grad_padded", padded.shape, padded.dtype, 0.0
         )
         for offset in range(window):
             grad_padded[:, offset:offset + out_length, :] += (
@@ -355,8 +348,7 @@ def _conv1d_pooled(
 # ---------------------------------------------------------------------- #
 def _padded_slot_index(
     batch: MergedBagBatch,
-    backend: ArrayBackend,
-    workspace: Optional[Workspace],
+    workspace: Workspace,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Gather plan for the flat sentence axis: ``(gather, slot_mask)``.
 
@@ -366,9 +358,7 @@ def _padded_slot_index(
     their gradients are exactly zero before the scatter-add back to row 0.
     """
     bag_of_row, slot_of_row, slot_mask = padded_slot_plan(batch)
-    gather = backend.scratch_filled(
-        workspace, "train.gather", slot_mask.shape, np.int64, 0
-    )
+    gather = workspace.request_filled("train.gather", slot_mask.shape, np.int64, 0)
     gather[bag_of_row, slot_of_row] = np.arange(batch.num_sentences)
     return gather, slot_mask
 
@@ -378,15 +368,14 @@ def _aggregator_logits(
     representations: Tensor,
     batch: MergedBagBatch,
     labels: Optional[np.ndarray],
-    backend: ArrayBackend,
-    workspace: Optional[Workspace],
+    workspace: Workspace,
 ) -> Tensor:
     """Relation logits ``(num_bags, num_relations)`` for either aggregator.
 
     ``labels`` (one per bag) select the gold-relation attention of training;
     ``None`` selects prediction-time attention.
     """
-    gather, slot_mask = _padded_slot_index(batch, backend, workspace)
+    gather, slot_mask = _padded_slot_index(batch, workspace)
     if isinstance(aggregator, SelectiveAttentionAggregator) and labels is None:
         # Every relation r attends over the bag with its own query and is
         # scored against its own attended vector (Lin et al., 2016):
@@ -413,8 +402,8 @@ def _aggregator_logits(
         bag_vectors = (padded_reprs * alphas.expand_dims(2)).sum(axis=1)
         return aggregator.classifier(bag_vectors)
     if isinstance(aggregator, AverageBagAggregator):
-        mask_f = backend.scratch(
-            workspace, "train.slot_mask", slot_mask.shape + (1,), representations.dtype
+        mask_f = workspace.request(
+            "train.slot_mask", slot_mask.shape + (1,), representations.dtype
         )
         mask_f[..., 0] = slot_mask
         padded_reprs = F.gather_rows(representations, gather) * Tensor(mask_f)
@@ -437,17 +426,16 @@ def _aggregator_logits(
 def _type_head_logits(
     type_head,
     batch: MergedBagBatch,
-    backend: ArrayBackend,
-    workspace: Optional[Workspace],
+    workspace: Workspace,
 ) -> Tensor:
     """Vectorized :class:`EntityTypeHead` forward: ``(num_bags, R)``."""
     head_vectors = _mean_type_embeddings(
         type_head.type_embedding, batch.head_type_ids, batch.head_type_offsets,
-        backend, workspace, "train.types.head",
+        workspace, "train.types.head",
     )
     tail_vectors = _mean_type_embeddings(
         type_head.type_embedding, batch.tail_type_ids, batch.tail_type_offsets,
-        backend, workspace, "train.types.tail",
+        workspace, "train.types.tail",
     )
     return type_head.classifier(nn.concatenate([head_vectors, tail_vectors], axis=1))
 
@@ -456,8 +444,7 @@ def _mean_type_embeddings(
     embedding,
     flat_ids: np.ndarray,
     offsets: np.ndarray,
-    backend: ArrayBackend,
-    workspace: Optional[Workspace],
+    workspace: Workspace,
     key: str,
 ) -> Tensor:
     """Per-bag mean of type-embedding rows with gradients: ``(num_bags, kt)``.
@@ -470,12 +457,12 @@ def _mean_type_embeddings(
     counts = np.diff(offsets)
     max_types = int(counts.max())
     mask = np.arange(max_types)[None, :] < counts[:, None]
-    padded_ids = backend.scratch_filled(
-        workspace, key + ".ids", (counts.size, max_types), np.int64, 0
+    padded_ids = workspace.request_filled(
+        key + ".ids", (counts.size, max_types), np.int64, 0
     )
     padded_ids[mask] = flat_ids
     embedded = embedding(padded_ids)
-    mask_f = backend.scratch(workspace, key + ".mask", mask.shape + (1,), embedded.dtype)
+    mask_f = workspace.request(key + ".mask", mask.shape + (1,), embedded.dtype)
     mask_f[..., 0] = mask
     embedded = embedded * Tensor(mask_f)
     inv_counts = (1.0 / counts)[:, None].astype(embedded.dtype, copy=False)

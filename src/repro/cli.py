@@ -23,9 +23,6 @@ Exit codes follow the argparse convention: ``0`` success, ``1`` runtime
 failure (corrupt checkpoint, broken data), ``2`` usage errors
 (:class:`repro.exceptions.UsageError` — unknown experiment/method/profile
 names, malformed request files).
-
-The legacy entry point ``python -m repro.experiments.runner`` still works and
-shares this implementation.
 """
 
 from __future__ import annotations
@@ -94,9 +91,9 @@ def apply_profile_overrides(
         profile.encode_workers = encode_workers
     if train_backend is not None:
         # Fail fast on backend typos before paying for dataset preparation.
-        from .nn.backend import get_backend
+        from .nn.backend import backend_dtype
 
-        get_backend(train_backend)  # raises ConfigurationError listing choices
+        backend_dtype(train_backend)  # raises ConfigurationError listing choices
         profile.train_backend = train_backend
     return profile
 
@@ -113,7 +110,7 @@ def execute_experiments(
     output_dir: Optional[Union[str, Path]] = None,
     stream: Optional[TextIO] = None,
 ) -> List[ExperimentResult]:
-    """Run experiments by name and emit reports; shared by both CLIs.
+    """Run experiments by name and emit reports (the ``run`` subcommand).
 
     ``names`` may contain ``"all"`` to select every registered experiment.
     With ``output_format="json"`` a single JSON document (object for one
@@ -489,10 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     train_parser.add_argument(
         "--backend",
         default=None,
-        help="training compute backend: 'reference' (float64, the default "
-        "numerics) or 'fast' (float32 activations/gradients with float64 "
-        "master weights; matches reference to a small tolerance, higher "
-        "throughput); omit to keep the ambient backend",
+        help="training compute backend: 'reference' (float64, the default) "
+        "or 'fast' (float32 activations/gradients with float64 master "
+        "weights; matches reference to a small tolerance)",
     )
     train_parser.set_defaults(func=_cmd_train)
 
@@ -510,9 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--backend",
         default=None,
-        help="compute backend: 'reference' (float64, the default numerics) or "
-        "'fast' (float32 weights + workspace reuse; ~same answers, lower "
-        "latency); omit to keep the ambient backend",
+        help="compute backend: 'reference' (float64, the default) or 'fast' "
+        "(float32 weights; ~same answers, lower latency)",
     )
     serve_parser.add_argument("--output", default="-", help="output file ('-' for stdout)")
     serve_parser.add_argument(

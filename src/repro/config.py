@@ -134,12 +134,12 @@ class TrainingConfig:
     # round-off, several times faster per epoch.  Models the batched layer
     # does not understand fall back to the per-bag loop automatically.
     batched_training: bool = True
-    # Compute backend for the batched training path ("reference", "fast",
-    # ...; see repro.nn.backend).  None keeps the ambient backend and
-    # today's float64 numerics; "fast" opts the forward/backward graph into
-    # float32 with float64 master weights held by the optimizer (losses and
-    # final parameters match the reference run to an explicit tolerance —
-    # see docs/architecture.md for the parity contract).
+    # Compute backend for the batched training path ("reference" or "fast";
+    # see repro.nn.backend).  None and "reference" train in the model's
+    # float64; "fast" runs the forward/backward graph in float32 with
+    # float64 master weights held by the optimizer (losses and final
+    # parameters match the reference run to an explicit tolerance — see
+    # docs/architecture.md for the parity contract).
     backend: Optional[str] = None
 
     def validate(self) -> None:
@@ -153,12 +153,11 @@ class TrainingConfig:
             raise ConfigurationError(f"unknown optimizer '{self.optimizer}'")
         if self.na_class_weight <= 0:
             raise ConfigurationError("na_class_weight must be positive")
-        if self.backend is not None:
-            # Delayed import: repro.nn.backend imports repro.exceptions, which
-            # must not pull config back in at module-import time.
-            from .nn.backend import get_backend
+        # Delayed import: repro.nn.backend imports repro.exceptions, which
+        # must not pull config back in at module-import time.
+        from .nn.backend import backend_dtype
 
-            get_backend(self.backend)  # raises ConfigurationError if unknown
+        backend_dtype(self.backend)  # raises ConfigurationError if unknown
 
 
 @dataclass
@@ -213,10 +212,9 @@ class DaemonConfig:
     queue_limit: int = 256         # queued + in-flight requests before backpressure
     num_workers: int = 1           # executor threads running the vectorized forward
     latency_window: int = 4096     # latency samples kept for quantile estimates
-    # Compute backend for the daemon's PredictionService ("reference",
-    # "fast", ...; see repro.nn.backend).  None keeps the ambient backend
-    # and today's float64 numerics; "fast" opts into the float32
-    # workspace-reuse serve path.
+    # Compute backend for the daemon's PredictionService ("reference" or
+    # "fast"; see repro.nn.backend).  None and "reference" serve in the
+    # model's float64; "fast" serves a float32 copy of the model.
     backend: Optional[str] = None
 
     def validate(self) -> None:
@@ -230,12 +228,11 @@ class DaemonConfig:
             raise ConfigurationError("num_workers must be positive")
         if self.latency_window <= 0:
             raise ConfigurationError("latency_window must be positive")
-        if self.backend is not None:
-            # Delayed import: repro.nn.backend imports repro.exceptions, which
-            # must not pull config back in at module-import time.
-            from .nn.backend import get_backend
+        # Delayed import: repro.nn.backend imports repro.exceptions, which
+        # must not pull config back in at module-import time.
+        from .nn.backend import backend_dtype
 
-            get_backend(self.backend)  # raises ConfigurationError if unknown
+        backend_dtype(self.backend)  # raises ConfigurationError if unknown
 
     @property
     def max_wait_seconds(self) -> float:
@@ -324,12 +321,12 @@ class ScaleProfile:
     daemon_queue_limit: int = 256
     daemon_workers: int = 1
     # Compute backend for serving built off this profile (Session.service /
-    # Session.daemon / daemon_config).  None = ambient backend with today's
-    # float64 numerics; "fast" = float32 weights + workspace reuse.
+    # Session.daemon / daemon_config).  None = the model's float64
+    # numerics; "fast" = float32 weights.
     serve_backend: Optional[str] = None
     # Compute backend for training built off this profile (forwarded into
-    # TrainingConfig.backend by training_config()).  None = ambient backend
-    # and float64 training; "fast" = float32 forward/backward graph with
+    # TrainingConfig.backend by training_config()).  None = float64
+    # training; "fast" = float32 forward/backward graph with
     # float64 master weights in the optimizer.
     train_backend: Optional[str] = None
     # Out-of-core corpus engine knobs (PR 7).  `encode_workers` > 1 fans

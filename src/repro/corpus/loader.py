@@ -411,60 +411,6 @@ def _encode_worker(encoder: BagEncoder, bags: Sequence[Bag], lo: int, hi: int, p
     store.save_sharded(part_path)
 
 
-def save_encoded_bags(path, bags: Sequence[EncodedBag]) -> None:
-    """Save a list of encoded bags to one compressed ``.npz`` file.
-
-    Bags have heterogeneous shapes (per-bag sentence counts and lengths), so
-    each bag's arrays are stored under ``b<i>/<field>`` keys together with the
-    scalar metadata needed to reconstruct it.
-    """
-    from ..utils.serialization import save_npz
-
-    arrays: Dict[str, np.ndarray] = {"num_bags": np.array([len(bags)], dtype=np.int64)}
-    for i, bag in enumerate(bags):
-        prefix = f"b{i}/"
-        arrays[prefix + "token_ids"] = bag.token_ids
-        arrays[prefix + "head_position_ids"] = bag.head_position_ids
-        arrays[prefix + "tail_position_ids"] = bag.tail_position_ids
-        arrays[prefix + "segment_ids"] = bag.segment_ids
-        arrays[prefix + "mask"] = bag.mask
-        arrays[prefix + "head_type_ids"] = bag.head_type_ids
-        arrays[prefix + "tail_type_ids"] = bag.tail_type_ids
-        arrays[prefix + "meta"] = np.array(
-            [bag.label, bag.head_entity_id, bag.tail_entity_id], dtype=np.int64
-        )
-        arrays[prefix + "relation_ids"] = np.array(bag.relation_ids, dtype=np.int64)
-    save_npz(path, arrays)
-
-
-def load_encoded_bags(path) -> List[EncodedBag]:
-    """Load encoded bags saved with :func:`save_encoded_bags`."""
-    from ..utils.serialization import load_npz
-
-    data = load_npz(path)
-    num_bags = int(data["num_bags"][0])
-    bags: List[EncodedBag] = []
-    for i in range(num_bags):
-        prefix = f"b{i}/"
-        meta = data[prefix + "meta"]
-        bags.append(
-            EncodedBag(
-                token_ids=data[prefix + "token_ids"],
-                head_position_ids=data[prefix + "head_position_ids"],
-                tail_position_ids=data[prefix + "tail_position_ids"],
-                segment_ids=data[prefix + "segment_ids"],
-                mask=data[prefix + "mask"].astype(bool),
-                label=int(meta[0]),
-                relation_ids=tuple(int(r) for r in data[prefix + "relation_ids"].tolist()),
-                head_entity_id=int(meta[1]),
-                tail_entity_id=int(meta[2]),
-                head_type_ids=data[prefix + "head_type_ids"],
-                tail_type_ids=data[prefix + "tail_type_ids"],
-            )
-        )
-    return bags
-
-
 class BatchIterator:
     """Yield shuffled mini-batches over an encoded corpus.
 

@@ -32,7 +32,8 @@ instead of re-padding object lists.  Two on-disk layouts persist a store:
   container, which defeats ``np.load``'s ``mmap_mode`` — so ``load`` refuses
   ``mmap=True`` on npz files and points at the v3 shard layout instead.
 
-The seed per-bag key layout also remains readable (:meth:`load` converts it).
+The per-bag key layout of early releases (one key set per bag) is no
+longer read: :meth:`load` rejects it with a :class:`DataError`.
 
 :class:`~repro.corpus.bags.EncodedBag` remains the per-bag API: the store is
 a read-only sequence of bags (``store[i]``, iteration, ``len``) whose 1-D
@@ -63,8 +64,8 @@ from .bags import EncodedBag
 CORPUS_STORE_FORMAT = 3
 
 #: The single-file columnar npz layout (written for ``*.npz`` paths); it
-#: cannot be memmapped.  The legacy per-bag layout written by
-#: ``save_encoded_bags`` has no version key at all.
+#: cannot be memmapped.  An npz without a ``format`` key (such as the per-bag
+#: layout of early releases) is rejected.
 CORPUS_STORE_NPZ_FORMAT = 2
 
 #: Manifest file name inside a v3 shard directory.
@@ -507,8 +508,7 @@ class CorpusStore:
         )
 
     # ------------------------------------------------------------------ #
-    # Persistence (shard directory, format v3; columnar npz, format v2;
-    # legacy per-bag layout readable)
+    # Persistence (shard directory, format v3; columnar npz, format v2)
     # ------------------------------------------------------------------ #
     def save(self, path) -> None:
         """Write the store to disk; the layout follows from the path.
@@ -588,17 +588,16 @@ class CorpusStore:
     def load(
         cls, path, mmap: bool = False, verify_hashes: bool = False
     ) -> "CorpusStore":
-        """Load a store saved by :meth:`save`, or convert a legacy file.
+        """Load a store saved by :meth:`save`.
 
         A directory is read as a format-v3 shard store; ``mmap=True`` opens
         every shard with ``np.load(..., mmap_mode="r")`` so column data stays
         on disk until a batch touches it, and ``verify_hashes=True``
         additionally checks each shard file against the manifest's sha256
         before mapping it.  A ``*.npz`` file is read as the format-v2
-        columnar layout; files written by the seed-era ``save_encoded_bags``
-        (one key set per bag, no ``format`` key) are recognised and
-        converted, so caches and exports produced before the columnar engine
-        keep working.  Structural problems (non-monotonic offsets, columns
+        columnar layout; one without a ``format`` key (for example the
+        per-bag layout of early releases) raises :class:`DataError`.
+        Structural problems (non-monotonic offsets, columns
         inconsistent with their final offsets, negative ``bag_widths``,
         corrupt or missing shards, format drift) raise :class:`DataError`
         naming the offending field.
@@ -613,20 +612,16 @@ class CorpusStore:
                 "the store to a directory path for the format-v3 shard layout"
             )
         from ..utils.serialization import load_npz
-        from .loader import load_encoded_bags
 
         data = load_npz(path)
         if "format" not in data:
-            if "num_bags" in data:  # legacy per-bag layout
-                return cls.from_encoded_bags(load_encoded_bags(path))
-            raise DataError(f"{path} is not an encoded-corpus file")
+            raise DataError(f"{path} is not an encoded-corpus file (no format key)")
         version = int(data["format"][0])
         if version != CORPUS_STORE_NPZ_FORMAT:
             raise DataError(
                 f"unsupported corpus-store npz format version {version} "
-                f"(this build reads npz version {CORPUS_STORE_NPZ_FORMAT}, "
-                f"shard-directory version {CORPUS_STORE_FORMAT} and the "
-                "legacy per-bag layout)"
+                f"(this build reads npz version {CORPUS_STORE_NPZ_FORMAT} "
+                f"and shard-directory version {CORPUS_STORE_FORMAT})"
             )
         kwargs = {
             name: data[name].astype(np.int64, copy=False)

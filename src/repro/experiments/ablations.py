@@ -129,13 +129,3 @@ def run_experiment(
         }
         sections.append(format_attention_report(attention_results))
     return metrics, "\n\n".join(sections)
-
-
-def main(profile: Optional[ScaleProfile] = None, seed: int = 0) -> str:
-    result = run_experiment(profile, seed=seed)
-    print(result.report)
-    return result.report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -92,13 +92,3 @@ def run_experiment(
     if len(methods) >= 2 and "pa_tmr" in results and "pcnn_att" in results:
         metrics["advantage_on_infrequent_pairs"] = advantage_on_infrequent_pairs(results)
     return metrics, format_report(results, dataset=dataset)
-
-
-def main(profile: Optional[ScaleProfile] = None, seed: int = 0, dataset: str = "nyt") -> str:
-    result = run_experiment(profile, seed=seed, dataset=dataset)
-    print(result.report)
-    return result.report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -16,13 +16,13 @@ Steps 2-3 are pure functions of (dataset, profile, seed, stage config), so
 :func:`prepare_context` can persist them through a
 :class:`repro.utils.artifacts.ArtifactCache`: pass ``cache=``/``cache_dir=``
 explicitly, or install a process-wide default with :func:`set_default_cache`
-(what ``python -m repro.experiments.runner --cache-dir ...`` does) so every
-experiment and the serving layer share one set of artifacts.
+(what ``python -m repro run --cache-dir ...`` does for the length of a run)
+so every experiment and the serving layer share one set of artifacts.
 
 Step 4 trains with the vectorized padded-batch engine (:mod:`repro.batch`)
 by default — one forward/backward per mini-batch, identical results to the
 per-bag loop.  Opt out per context via ``ScaleProfile.batched_training=False``
-(``--per-bag-training`` on the CLI runner).
+(``python -m repro run --per-bag-training``).
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ _default_cache: Optional[ArtifactCache] = None
 # Version 2: array-native graph engine — id-encoded proximity-graph files,
 # chunked LINE sampling (new RNG stream) and the optional propagation stage.
 # Version 3: columnar corpus store — encoded corpora persist as one columnar
-# npz (CorpusStore format v2) instead of per-bag key sets; the legacy layout
-# stays readable through CorpusStore.load.
+# npz (CorpusStore format v2) instead of per-bag key sets.  The per-bag
+# layout is no longer readable: CorpusStore.load rejects it with a DataError.
 # Version 4: out-of-core corpus engine — new ScaleProfile knobs reshape the
 # profile dict inside every key, and mmap mode persists encoded corpora as
 # format-v3 shard directories under the 'encoded_store' kind.
@@ -80,8 +80,8 @@ def set_default_cache(cache: Optional[ArtifactCache]) -> Optional[ArtifactCache]
     """Install (or clear, with ``None``) the default artifact cache.
 
     Experiment modules call :func:`prepare_context` with no ``cache``
-    argument; installing a default here lets a driver (the CLI runner, the
-    benchmark harness, a serving process) turn on artifact reuse for every
+    argument; installing a default here lets a driver (``python -m repro run``,
+    the benchmark harness, a serving process) turn on artifact reuse for every
     context built afterwards.  Returns the previously installed cache.
     """
     global _default_cache
@@ -229,11 +229,7 @@ def prepare_context(
         load=EntityProximityGraph.load,
     )
     # The embeddings depend on the graph, so their key includes the graph key.
-    # The pipeline always trains reference (float64) embeddings — the
-    # LineConfig backend knob stays None here — so keep it out of the key and
-    # the cached artifacts stay valid.
     line_key = {**graph_key, "line": asdict(line_config)}
-    line_key["line"].pop("backend", None)
     embeddings = cache.get_or_build(
         "line_embeddings",
         line_key,

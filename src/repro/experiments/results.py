@@ -62,8 +62,8 @@ class ExperimentResult:
         Machine-readable payload; the exact shape is per-experiment and
         documented in ``docs/api.md``.  Always JSON-encodable.
     report:
-        The rendered text table/figure, identical to what the legacy
-        ``main()`` entry points print.
+        The rendered text table/figure, as ``python -m repro run`` prints
+        it.
     config_fingerprint:
         Content hash of (experiment, profile, seed, params) — two results
         with equal fingerprints came from the same configuration.

@@ -84,14 +84,3 @@ def run_experiment(profile, seed, context=None):
     bundles = {context.bundle.name: context.bundle} if context is not None else None
     statistics = run(profile=profile, seed=seed, bundles=bundles)
     return {"statistics": statistics}, format_report(statistics)
-
-
-def main(profile: Optional[ScaleProfile] = None, seed: int = 0) -> str:
-    """Run the experiment and return the printed report (legacy shim)."""
-    result = run_experiment(profile, seed=seed)
-    print(result.report)
-    return result.report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

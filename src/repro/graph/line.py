@@ -14,8 +14,7 @@ Array-level optimisations keep the step loop fast:
   chunks of many SGD steps at a time (amortising the per-call sampling
   overhead);
 * each step writes its ``-lr``-scaled gradients for the update rows
-  ``[sources | targets | negatives]`` once, into one buffer in the table's
-  dtype;
+  ``[sources | targets | negatives]`` once, into one buffer;
 * the updates land through one 1-D ``np.add.at`` per table, at the flat
   offsets ``row * d + column`` of the flattened table.  numpy runs a 1-D
   ``ufunc.at`` on its fast path, unlike a 2-D ``np.add.at(table, rows, ...)``.
@@ -23,7 +22,9 @@ Array-level optimisations keep the step loop fast:
 Byte-identity contract: every table element receives its additions in the
 same order as the row scatter did, so the tables and the loss history are
 bit-for-bit those of the row-scatter trainer (``tests/test_graph_kernels.py``).
-Cached LINE artifacts therefore stay valid.
+Cached LINE artifacts therefore stay valid.  The tables are float64, and
+each step's gathers and update buffer are fresh arrays (pooling them did
+not pay off in graph preparation).
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, GraphError
-from ..nn.backend import Workspace, resolve_backend
+from ..exceptions import GraphError
 from .alias import AliasSampler
 from .proximity import EntityProximityGraph
 
@@ -85,14 +85,6 @@ class LineConfig:
         makes over the edges incident to a dirty vertex set after a graph
         :meth:`~repro.graph.proximity.EntityProximityGraph.refinalize`
         (``0`` skips fine-tuning entirely).  Batch training ignores it.
-    backend:
-        Compute backend for the chunked SGD (see :mod:`repro.nn.backend`).
-        ``None`` keeps the ambient backend and float64 tables; pinning
-        ``"fast"`` additionally trains the tables in float32 (initialised
-        from the same float64 RNG draws, so the stream is unchanged) —
-        :meth:`LineEmbeddingTrainer.embedding_matrix` still returns float64
-        at the boundary.  The batch pipeline always builds reference
-        embeddings; this knob is for ad-hoc/experimental training.
     """
 
     embedding_dim: int = 128
@@ -103,7 +95,6 @@ class LineConfig:
     sample_chunk_edges: int = 65536
     seed: int = 0
     finetune_epochs: int = 2
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.embedding_dim <= 0 or self.embedding_dim % 2 != 0:
@@ -120,13 +111,6 @@ class LineConfig:
             raise GraphError("sample_chunk_edges must be positive")
         if self.finetune_epochs < 0:
             raise GraphError("finetune_epochs must be >= 0")
-        if self.backend is not None:
-            from ..nn.backend import get_backend
-
-            try:
-                get_backend(self.backend)
-            except ConfigurationError as exc:
-                raise GraphError(str(exc)) from exc
 
     @property
     def order_dim(self) -> int:
@@ -148,14 +132,6 @@ class LineEmbeddingTrainer:
         self._edge_sampler = AliasSampler(self._weights)
         self._negative_sampler = AliasSampler(graph.degree_vector(power=0.75))
 
-        # Backend seam: ambient selection pools the per-step gathers (bit-
-        # identical values); pinning config.backend="fast" additionally
-        # trains the tables in float32.
-        self._backend = resolve_backend(self.config.backend)
-        self._workspace = Workspace() if self._backend.reuse_workspace else None
-        policy = self._backend.train_dtype if self.config.backend is not None else None
-        self._table_dtype = np.dtype(policy) if policy is not None else np.dtype(np.float64)
-
         n = graph.num_vertices
         d = self.config.order_dim
         scale = 0.5 / d
@@ -164,11 +140,6 @@ class LineEmbeddingTrainer:
         # Second-order: vertex and context tables.
         self.second_order = self._rng.uniform(-scale, scale, size=(n, d))
         self.second_context = np.zeros((n, d))
-        if self._table_dtype != np.float64:
-            # Draw in float64 first (generator stream unchanged), then cast.
-            self.first_order = self.first_order.astype(self._table_dtype)
-            self.second_order = self.second_order.astype(self._table_dtype)
-            self.second_context = self.second_context.astype(self._table_dtype)
         # Per-epoch aggregates (mean and final batch loss per objective), so
         # the history stays O(epochs) however many SGD steps run.
         self._history: Dict[str, list] = {
@@ -217,18 +188,6 @@ class LineEmbeddingTrainer:
     # ------------------------------------------------------------------ #
     # SGD steps (closed-form negative-sampling gradients)
     # ------------------------------------------------------------------ #
-    def _gather(self, table: np.ndarray, indices: np.ndarray, key: str) -> np.ndarray:
-        """``table[indices]`` — landed in a pooled buffer when the backend
-        reuses workspaces (``np.take`` with ``out=`` writes the identical
-        values a fancy-index copy would)."""
-        if self._workspace is None:
-            return table[indices]
-        out = self._workspace.request(
-            key, np.shape(indices) + (table.shape[1],), table.dtype
-        )
-        np.take(table, indices, axis=0, out=out)
-        return out
-
     def _step_order(
         self,
         vertex_table: np.ndarray,
@@ -246,9 +205,9 @@ class LineEmbeddingTrainer:
         ``flat`` holds the flat table offsets of the update rows, from
         :meth:`_step`.
         """
-        u = self._gather(vertex_table, sources, "line.u")          # (B, d)
-        v_pos = self._gather(context_table, targets, "line.v_pos")  # (B, d)
-        v_neg = self._gather(context_table, negatives, "line.v_neg")  # (B, K, d)
+        u = vertex_table[sources]          # (B, d)
+        v_pos = context_table[targets]     # (B, d)
+        v_neg = context_table[negatives]   # (B, K, d)
 
         pos_scores = np.einsum("bd,bd->b", u, v_pos)
         neg_scores = np.einsum("bd,bkd->bk", u, v_neg)
@@ -266,11 +225,7 @@ class LineEmbeddingTrainer:
 
         batch, k = negatives.shape
         d = vertex_table.shape[1]
-        shape = ((2 + k) * batch, d)
-        if self._workspace is None:
-            updates = np.empty(shape, dtype=vertex_table.dtype)
-        else:
-            updates = self._workspace.request("line.updates", shape, vertex_table.dtype)
+        updates = np.empty(((2 + k) * batch, d))
         grad_u, grad_v_pos = updates[:batch], updates[batch:2 * batch]
         grad_v_neg = updates[2 * batch:].reshape(batch, k, d)
         np.multiply(grad_pos, v_pos, out=grad_u)
@@ -422,14 +377,8 @@ class LineEmbeddingTrainer:
     # Output
     # ------------------------------------------------------------------ #
     def embedding_matrix(self, normalize: bool = True) -> np.ndarray:
-        """Concatenate the first- and second-order embeddings per vertex.
-
-        Always float64 at the boundary: downstream consumers (propagation,
-        the entity-embedding table) expect reference precision whatever dtype
-        the tables trained in.  For float64 tables the cast is the identity.
-        """
-        first = self.first_order.astype(np.float64, copy=False)
-        second = self.second_order.astype(np.float64, copy=False)
+        """Concatenate the first- and second-order embeddings per vertex."""
+        first, second = self.first_order, self.second_order
         if normalize:
             first = first / (np.linalg.norm(first, axis=1, keepdims=True) + 1e-12)
             second = second / (np.linalg.norm(second, axis=1, keepdims=True) + 1e-12)
@@ -437,14 +386,14 @@ class LineEmbeddingTrainer:
 
     def first_order_matrix(self, normalize: bool = True) -> np.ndarray:
         """First-order embedding only (used by the ablation benchmark)."""
-        first = self.first_order.astype(np.float64, copy=False)
+        first = self.first_order
         if normalize:
             first = first / (np.linalg.norm(first, axis=1, keepdims=True) + 1e-12)
         return first.copy()
 
     def second_order_matrix(self, normalize: bool = True) -> np.ndarray:
         """Second-order embedding only (used by the ablation benchmark)."""
-        second = self.second_order.astype(np.float64, copy=False)
+        second = self.second_order
         if normalize:
             second = second / (np.linalg.norm(second, axis=1, keepdims=True) + 1e-12)
         return second.copy()

@@ -685,7 +685,6 @@ class EntityProximityGraph:
         from ..utils.serialization import load_npz
 
         data = load_npz(path)
-        min_cooccurrence = int(data["min_cooccurrence"][0])
         if "format" in data:
             version = int(data["format"][0])
             if version != GRAPH_FORMAT_VERSION:
@@ -693,20 +692,15 @@ class EntityProximityGraph:
                     f"proximity-graph file format {version} is not supported "
                     f"by this build (expected {GRAPH_FORMAT_VERSION})"
                 )
-        if "entity_names" in data:
-            names = data["entity_names"]
-            return cls.from_pair_arrays(
-                names[data["pair_lo"]],
-                names[data["pair_hi"]],
-                data["counts"],
-                min_cooccurrence=min_cooccurrence,
-            )
-        if "firsts" in data:  # legacy format: parallel string arrays
-            return cls.from_pair_arrays(
-                data["firsts"], data["seconds"], data["counts"],
-                min_cooccurrence=min_cooccurrence,
-            )
-        raise GraphError(f"unrecognised proximity-graph file format: {sorted(data)}")
+        if not {"entity_names", "pair_lo", "pair_hi", "counts", "min_cooccurrence"} <= set(data):
+            raise GraphError(f"unrecognised proximity-graph file format: {sorted(data)}")
+        names = data["entity_names"]
+        return cls.from_pair_arrays(
+            names[data["pair_lo"]],
+            names[data["pair_hi"]],
+            data["counts"],
+            min_cooccurrence=int(data["min_cooccurrence"][0]),
+        )
 
     def to_networkx(self):
         """Export the graph to a :class:`networkx.Graph` (weights preserved)."""

@@ -6,17 +6,7 @@ like the original implementations.
 """
 
 from . import backend, functional, init
-from .backend import (
-    ArrayBackend,
-    FastBackend,
-    ReferenceBackend,
-    Workspace,
-    available_backends,
-    get_backend,
-    register_backend,
-    set_backend,
-    use_backend,
-)
+from .backend import Workspace
 from .layers import (
     Conv1d,
     Dropout,
@@ -49,15 +39,7 @@ __all__ = [
     "functional",
     "init",
     "backend",
-    "ArrayBackend",
-    "ReferenceBackend",
-    "FastBackend",
     "Workspace",
-    "available_backends",
-    "get_backend",
-    "set_backend",
-    "use_backend",
-    "register_backend",
     "default_dtype",
     "no_grad",
     "is_grad_enabled",

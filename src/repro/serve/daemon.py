@@ -481,7 +481,7 @@ class ServingDaemon:
         snapshot["model"] = self._service.model.describe()
         snapshot["version"] = self._active_version
         snapshot["backend"] = {
-            "name": self._service.backend.name,
+            "name": self._service.backend,
             "serve_dtype": (
                 np.dtype(self._service.serve_dtype).name
                 if self._service.serve_dtype is not None

@@ -32,7 +32,7 @@ from ..kb.knowledge_base import KnowledgeBase
 from ..kb.schema import RelationSchema
 from ..batch import batched_predict_probabilities
 from ..batch.merging import merge_store_batch
-from ..nn.backend import ArrayBackend, Workspace, resolve_backend
+from ..nn.backend import Workspace, backend_dtype
 from ..text.tokenizer import simple_tokenize
 from ..utils.logging import get_logger
 
@@ -114,17 +114,12 @@ class PredictionService:
         chunks keep padding waste low (bags are width-bucketed first), so the
         default favours throughput over raw batch size.
     backend:
-        Compute backend for the batched forward pass: a name from
-        :func:`repro.nn.backend.available_backends`, an
-        :class:`~repro.nn.backend.ArrayBackend` instance, or ``None``
-        (the default) for the ambient backend.  Pinning a backend
-        *explicitly* opts the service into that backend's full serving
-        policy: with ``backend="fast"`` the model weights are cast once to
-        float32 (on a private copy — the caller's model is untouched) and
-        padded batch buffers plus intermediate activations are pooled in a
-        per-worker-thread :class:`~repro.nn.backend.Workspace`.  With
-        ``backend=None`` the ambient backend supplies kernels only, so
-        default results stay bit-identical to earlier releases.
+        Compute backend name (see :mod:`repro.nn.backend`).  ``"fast"``
+        casts the model weights once to float32, on a private copy (the
+        caller's model is untouched); ``None`` (the default) and
+        ``"reference"`` serve in the model's own dtype.  Whatever the
+        backend, padded batch buffers and intermediate activations are
+        pooled in a per-worker-thread :class:`~repro.nn.backend.Workspace`.
     """
 
     def __init__(
@@ -134,20 +129,14 @@ class PredictionService:
         schema: RelationSchema,
         kb: Optional[KnowledgeBase] = None,
         batch_size: int = 32,
-        backend: Union[str, ArrayBackend, None] = None,
+        backend: Optional[str] = None,
     ) -> None:
         if batch_size <= 0:
             raise DataError("batch_size must be positive")
         #: The ``backend`` argument as given, so reload paths (the serving
         #: daemon's hot checkpoint reload) can rebuild an identical service.
         self.requested_backend = backend
-        self._backend = resolve_backend(backend)
-        # The serve dtype policy only applies when a backend is pinned
-        # explicitly; ambient selection (env var / set_backend) swaps
-        # kernels but never silently changes numerics.
-        self.serve_dtype: Optional[np.dtype] = (
-            self._backend.serve_dtype if backend is not None else None
-        )
+        self.serve_dtype: Optional[np.dtype] = backend_dtype(backend)
         if self.serve_dtype is not None and model.parameter_dtype() != self.serve_dtype:
             model = copy.deepcopy(model).cast_(self.serve_dtype)
         self.model = model
@@ -163,24 +152,22 @@ class PredictionService:
             model.describe(),
             model.num_relations,
             batch_size,
-            self._backend.name,
+            self.backend,
             f" (dtype={np.dtype(self.serve_dtype).name})" if self.serve_dtype else "",
         )
 
     @property
-    def backend(self) -> ArrayBackend:
-        """The resolved compute backend running the batched forward pass."""
-        return self._backend
+    def backend(self) -> str:
+        """Name of the compute backend (``"reference"`` unless pinned)."""
+        return self.requested_backend or "reference"
 
-    def _workspace(self) -> Optional[Workspace]:
-        """Per-worker-thread scratch pool, or ``None`` when reuse is off.
+    def _workspace(self) -> Workspace:
+        """The calling thread's scratch pool.
 
         Workspaces are keyed on the calling thread so the daemon's worker
         pool never shares (and never locks) buffers; each worker amortises
         its padded-batch and activation allocations across batches.
         """
-        if not self._backend.reuse_workspace:
-            return None
         workspace = getattr(self._thread_state, "workspace", None)
         if workspace is None:
             workspace = self._thread_state.workspace = Workspace()
@@ -192,7 +179,7 @@ class PredictionService:
         context,
         model: NeuralREModel,
         batch_size: int = 32,
-        backend: Union[str, ArrayBackend, None] = None,
+        backend: Optional[str] = None,
     ) -> "PredictionService":
         """Build a service from a prepared experiment context and a trained model.
 
@@ -214,7 +201,7 @@ class PredictionService:
         cls,
         path,
         batch_size: int = 32,
-        backend: Union[str, ArrayBackend, None] = None,
+        backend: Optional[str] = None,
     ) -> "PredictionService":
         """Cold-start a service from a checkpoint directory.
 
@@ -354,11 +341,7 @@ class PredictionService:
             else:
                 chunk = [bags[int(i)] for i in indices]
                 num_sentences = sum(bag.num_sentences for bag in chunk)
-            rows.append(
-                batched_predict_probabilities(
-                    self.model, chunk, backend=self._backend, workspace=workspace
-                )
-            )
+            rows.append(batched_predict_probabilities(self.model, chunk, workspace=workspace))
             self.stats.batches += 1
             self.stats.sentences += num_sentences
         self.stats.requests += len(bags)

@@ -11,15 +11,15 @@ epoch (``benchmarks/test_bench_train.py``).  Models the batched layer does
 not understand, and configs with ``batched_training=False``, use the per-bag
 loop.
 
-The batched path dispatches through the compute-backend seam
-(:mod:`repro.nn.backend`).  Ambient backend selection swaps kernels only and
-stays bit-identical; pinning ``TrainingConfig(backend="fast")`` additionally
-engages the backend's *training dtype policy*: the forward/backward graph
-runs in float32 on a shadow copy of the model while the optimizer keeps
-updating float64 master weights, with gradients accumulated in float64 at the
-parameter boundary (float32→float64 is exact).  Checkpoints and the trained
-model always hold the float64 masters — see the parity contract in
-``docs/architecture.md``.
+The batched path pools its per-batch scratch in one
+:class:`~repro.nn.backend.Workspace` per trainer.  Pinning
+``TrainingConfig(backend="fast")`` engages the *float32 training policy*
+(:mod:`repro.nn.backend`): the forward/backward graph runs in float32 on a
+shadow copy of the model while the optimizer keeps updating float64 master
+weights, with gradients accumulated in float64 at the parameter boundary
+(float32→float64 is exact).  ``None`` and ``"reference"`` train in the
+model's dtype.  Checkpoints and the trained model always hold the float64
+masters — see the parity contract in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from ..corpus.loader import BatchIterator
 from ..corpus.store import CorpusStore
 from ..exceptions import ConfigurationError
 from ..nn import functional as F
-from ..nn.backend import ArrayBackend, Workspace, resolve_backend
+from ..nn.backend import Workspace, backend_dtype
 from ..nn.tensor import default_dtype
 from ..utils.logging import get_logger
 from .callbacks import CheckpointCallback, EarlyStopping, LossHistory
@@ -83,17 +83,13 @@ class Trainer:
         self._optimizer = self._build_optimizer()
         self._class_weights = self._build_class_weights()
         self._batched = self.config.batched_training and supports_batched_training(model)
-        self._backend = resolve_backend(self.config.backend)
-        self._workspace = Workspace() if self._backend.reuse_workspace else None
+        self._workspace = Workspace()
         self._master_params = self._optimizer.parameters
         self._compute_model: nn.Module = self.model
         self._compute_params = self._master_params
         self._grad_buffers: List[np.ndarray] = []
         self._train_dtype: Optional[np.dtype] = None
-        # The dtype policy engages only when the config names the backend
-        # explicitly — ambient selection (REPRO_BACKEND / set_backend) swaps
-        # kernels only and must stay bit-identical to the reference run.
-        policy = self._backend.train_dtype if self.config.backend is not None else None
+        policy = backend_dtype(self.config.backend)
         if policy is not None and np.dtype(policy) != self.model.parameter_dtype():
             if self._batched:
                 self._train_dtype = np.dtype(policy)
@@ -108,7 +104,7 @@ class Trainer:
                 logger.warning(
                     "backend '%s' requests %s training, but the %s path does "
                     "not support the dtype policy; training in %s",
-                    self._backend.name,
+                    self.backend,
                     np.dtype(policy).name,
                     "per-bag" if self.config.batched_training else "non-batched",
                     self.model.parameter_dtype().name,
@@ -144,24 +140,23 @@ class Trainer:
     # Backend plumbing
     # ------------------------------------------------------------------ #
     @property
-    def backend(self) -> ArrayBackend:
-        """The resolved compute backend driving the batched training path."""
-        return self._backend
+    def backend(self) -> str:
+        """Name of the compute backend (``"reference"`` unless pinned)."""
+        return self.config.backend or "reference"
 
     @property
     def activation_dtype(self) -> np.dtype:
         """Dtype the forward/backward graph runs in (policy or model dtype)."""
         return self._train_dtype or self.model.parameter_dtype()
 
-    def workspace_stats(self) -> Optional[Dict[str, int]]:
-        """Pooled-scratch statistics, or ``None`` without workspace reuse.
+    def workspace_stats(self) -> Dict[str, int]:
+        """Statistics of the trainer's pooled batched-path scratch.
 
         ``allocations`` counts fresh buffer allocations over the trainer's
         lifetime; a steady-state loop stops incrementing it after the first
-        epoch (asserted in ``tests/test_train_backend.py``).
+        epoch (asserted in ``tests/test_train_backend.py``).  The per-bag
+        loop does not use the workspace, so its counts stay zero.
         """
-        if self._workspace is None:
-            return None
         return {
             "buffers": self._workspace.num_buffers,
             "nbytes": self._workspace.nbytes,
@@ -222,10 +217,7 @@ class Trainer:
         with self._graph_scope():
             if self._batched:
                 stacked = batched_train_logits(
-                    self._compute_model,
-                    batch,
-                    backend=self._backend,
-                    workspace=self._workspace,
+                    self._compute_model, batch, workspace=self._workspace
                 )
                 labels = (
                     batch.labels
@@ -299,7 +291,7 @@ class Trainer:
         activation_dtype = self.activation_dtype.name
         logger.info(
             "training %d bags: backend=%s params=%s activations=%s batched=%s",
-            len(train_bags), self._backend.name, param_dtype, activation_dtype,
+            len(train_bags), self.backend, param_dtype, activation_dtype,
             self._batched,
         )
         stopped_early = False
@@ -336,15 +328,10 @@ class Trainer:
             epochs_run = epoch + 1
             stats = self.workspace_stats()
             logger.debug(
-                "epoch %d mean loss %.4f [backend=%s params=%s activations=%s%s]",
-                epoch + 1, epoch_loss, self._backend.name, param_dtype,
-                activation_dtype,
-                (
-                    f" scratch={stats['nbytes']}B/{stats['buffers']}buf"
-                    f" allocs={stats['allocations']}"
-                    if stats is not None
-                    else ""
-                ),
+                "epoch %d mean loss %.4f [backend=%s params=%s activations=%s"
+                " scratch=%dB/%dbuf allocs=%d]",
+                epoch + 1, epoch_loss, self.backend, param_dtype, activation_dtype,
+                stats["nbytes"], stats["buffers"], stats["allocations"],
             )
             if diverged:
                 break

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.config import ScaleProfile
-from repro.corpus.loader import load_encoded_bags, save_encoded_bags
 from repro.experiments.pipeline import (
     get_default_cache,
     prepare_context,
@@ -209,24 +208,6 @@ class TestGraphPersistence:
         assert loaded.edge_weight(first, second) == pytest.approx(
             graph.edge_weight(first, second)
         )
-
-
-class TestEncodedBagPersistence:
-    def test_round_trip(self, tmp_path, nyt_context):
-        bags = nyt_context.test_encoded[:10]
-        path = tmp_path / "bags.npz"
-        save_encoded_bags(path, bags)
-        loaded = load_encoded_bags(path)
-        assert len(loaded) == len(bags)
-        for original, restored in zip(bags, loaded):
-            assert np.array_equal(original.token_ids, restored.token_ids)
-            assert np.array_equal(original.mask, restored.mask)
-            assert np.array_equal(original.segment_ids, restored.segment_ids)
-            assert restored.mask.dtype == np.bool_
-            assert original.label == restored.label
-            assert original.relation_ids == restored.relation_ids
-            assert original.head_entity_id == restored.head_entity_id
-            assert np.array_equal(original.head_type_ids, restored.head_type_ids)
 
 
 class TestCachedPipeline:

@@ -1,17 +1,18 @@
-"""Tests for the pluggable compute-backend layer (:mod:`repro.nn.backend`).
+"""Tests for the compute-backend names and scratch pooling (:mod:`repro.nn.backend`).
 
-Three contracts are pinned here:
+Four contracts are pinned here:
 
-* **Registry semantics** — explicit name beats :func:`set_backend` override
-  beats ``REPRO_BACKEND`` beats the ``reference`` default; unknown names
-  raise :class:`~repro.exceptions.ConfigurationError` listing the choices.
-* **Reference/ambient parity** — the default serve path is bit-identical
-  whichever backend is ambient: ambient selection swaps kernels only, never
-  numerics, so ``REPRO_BACKEND=fast`` cannot silently change answers.
+* **Backend names** — ``reference`` and ``fast`` are the known names;
+  ``None`` and ``reference`` keep the model's dtype; unknown names raise
+  :class:`~repro.exceptions.ConfigurationError` listing the choices.
+* **Reference parity** — a service pinned to ``backend="reference"`` is
+  bit-identical to the unpinned default.
 * **Fast-path parity** — a service pinned to ``backend="fast"`` (float32
-  weights, workspace reuse, float64 final reduction) stays within ``1e-5``
-  of the float64 reference with identical predicted labels, for every
+  weights, float64 final reduction) stays within ``1e-5`` of the float64
+  reference with identical predicted labels, for every
   encoder/aggregator/head variant.
+* **Pooled scratch never leaks** — every service pools its per-batch
+  scratch per thread, and the arrays it returns are never pool-backed.
 """
 
 from __future__ import annotations
@@ -21,19 +22,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.pipeline import train_and_evaluate
-from repro.nn.backend import (
-    BACKEND_ENV_VAR,
-    ArrayBackend,
-    FastBackend,
-    ReferenceBackend,
-    Workspace,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
+from repro.nn.backend import BACKEND_DTYPES, Workspace, backend_dtype
 from repro.serve import PredictionService, batched_predict_probabilities
 
 # Every aggregation/encoder/head combination the factories can build
@@ -42,73 +31,26 @@ PARITY_METHODS = ["pa_tmr", "pa_t", "pa_mr", "pcnn_att", "pcnn", "cnn_att", "gru
 
 
 # ---------------------------------------------------------------------- #
-# Registry
+# Backend names
 # ---------------------------------------------------------------------- #
 class TestRegistry:
-    def test_builtin_backends_registered(self):
-        names = available_backends()
-        assert "reference" in names
-        assert "fast" in names
+    """The backend-name table."""
 
-    def test_default_is_reference(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        backend = get_backend()
-        assert backend.name == "reference"
-        assert backend.serve_dtype is None
-        assert backend.reuse_workspace is False
+    def test_builtin_backends_registered(self):
+        assert set(BACKEND_DTYPES) == {"reference", "fast"}
+        assert backend_dtype("fast") == np.dtype(np.float32)
+
+    def test_default_is_reference(self):
+        assert backend_dtype(None) is None
+        assert backend_dtype("reference") is None
 
     def test_unknown_name_lists_choices(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            get_backend("does-not-exist")
+            backend_dtype("does-not-exist")
         message = str(excinfo.value)
         assert "available backends" in message
         assert "reference" in message
         assert "fast" in message
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "fast")
-        assert get_backend().name == "fast"
-
-    def test_env_var_unknown_name_raises(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
-        with pytest.raises(ConfigurationError):
-            get_backend()
-
-    def test_set_backend_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
-        previous = set_backend("fast")
-        try:
-            assert get_backend().name == "fast"
-        finally:
-            set_backend(previous)
-
-    def test_set_backend_rejects_unknown_eagerly(self):
-        with pytest.raises(ConfigurationError):
-            set_backend("bogus")
-
-    def test_explicit_name_beats_override(self):
-        with use_backend("fast"):
-            assert get_backend("reference").name == "reference"
-
-    def test_use_backend_scopes_and_restores(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        with use_backend("fast") as backend:
-            assert backend.name == "fast"
-            assert get_backend().name == "fast"
-        assert get_backend().name == "reference"
-
-    def test_resolve_backend_instance_passthrough(self):
-        instance = FastBackend()
-        assert resolve_backend(instance) is instance
-        assert resolve_backend("reference").name == "reference"
-
-    def test_register_duplicate_rejected(self):
-        with pytest.raises(ConfigurationError):
-            register_backend(ReferenceBackend())
-
-    def test_register_abstract_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            register_backend(ArrayBackend())
 
     def test_daemon_config_validates_backend(self):
         from repro.config import DaemonConfig
@@ -184,36 +126,23 @@ class TestWorkspace:
         ws.clear()
         assert ws.allocations == 0 and ws.high_water_nbytes == 0
 
-    def test_scratch_pools_only_for_reusing_backends(self):
-        ws = Workspace()
-        reference = get_backend("reference")
-        fast = get_backend("fast")
-        reference.scratch(ws, "k", (4,), np.float64)
-        assert ws.num_buffers == 0  # reference never pools
-        fast.scratch(ws, "k", (4,), np.float64)
-        assert ws.num_buffers == 1
-
 
 # ---------------------------------------------------------------------- #
 # Kernels
 # ---------------------------------------------------------------------- #
 class TestKernels:
     def test_conv_window_gather_matches_conv1d(self):
-        # im2col + matmul must reproduce the autograd conv bit-for-bit.
+        # The pooled im2col + matmul must reproduce the autograd conv
+        # bit-for-bit (gradients: tests/test_batch_training.py).
         from repro import nn
+        from repro.batch.training import _conv1d_pooled
         from repro.nn import functional as F
 
         rng = np.random.default_rng(1)
-        conv = nn.Conv1d(4, 6, kernel_size=3, rng=rng)
+        conv = nn.Conv1d(4, 6, kernel_size=3, padding=1, rng=rng)
         x = rng.standard_normal((2, 9, 4))
         expected = F.conv1d(nn.Tensor(x), conv.weight, conv.bias, padding=1).data
-
-        backend = get_backend("reference")
-        padded = np.zeros((2, 9 + 2, 4))
-        padded[:, 1:10, :] = x
-        col = backend.conv_window_gather(padded, window=3)
-        w_mat = conv.weight.data.reshape(6, -1)
-        got = backend.matmul(col, w_mat.T) + conv.bias.data
+        got = _conv1d_pooled(conv, nn.Tensor(x), Workspace()).data
         np.testing.assert_array_equal(got, expected)
 
 
@@ -226,25 +155,11 @@ class TestReferenceParity:
         method, _ = train_and_evaluate(nyt_context, method_name)
         bags = nyt_context.test_encoded[:16]
         default = batched_predict_probabilities(method.model, bags)
-        explicit = batched_predict_probabilities(
-            method.model, bags, backend=get_backend("reference")
+        service = PredictionService.from_context(
+            nyt_context, method.model, backend="reference"
         )
-        assert np.array_equal(default, explicit)
-
-    def test_ambient_fast_keeps_float64_numerics(self, nyt_context, trained_pa_tmr):
-        # Exporting REPRO_BACKEND=fast (here: the equivalent set_backend
-        # override) must not change results: ambient selection swaps kernels
-        # and enables workspace pooling, but the dtype policy only applies
-        # when a caller pins the backend explicitly.
-        model = trained_pa_tmr[0].model
-        bags = nyt_context.test_encoded[:16]
-        baseline = PredictionService.from_context(nyt_context, model).predict_encoded(bags)
-        with use_backend("fast"):
-            ambient_service = PredictionService.from_context(nyt_context, model)
-            ambient = ambient_service.predict_encoded(bags)
-        assert ambient_service.serve_dtype is None
-        assert ambient_service.model is model  # no cast, no copy
-        assert np.array_equal(ambient, baseline)
+        assert service.model is method.model  # no cast, no copy
+        assert np.array_equal(service.predict_encoded(bags), default)
 
 
 class TestFastServeParity:
@@ -296,3 +211,22 @@ class TestFastServeParity:
         for index in (0, 3, 7):
             single = service.predict_encoded([bags[index]])[0]
             np.testing.assert_allclose(single, batch_rows[index], atol=1e-6)
+
+
+class TestPooledServe:
+    def test_default_service_pools_per_thread(self, nyt_context, trained_pa_tmr):
+        service = PredictionService.from_context(nyt_context, trained_pa_tmr[0].model)
+        assert service.backend == "reference" and service.serve_dtype is None
+        service.predict_encoded(nyt_context.test_encoded[:4])
+        assert service._workspace() is service._workspace()
+        assert service._workspace().num_buffers > 0
+
+    def test_result_unchanged_by_next_call(self, nyt_context, trained_pa_tmr):
+        # One chunk, then a call of other widths on the same thread's pool.
+        service = PredictionService.from_context(
+            nyt_context, trained_pa_tmr[0].model, batch_size=4
+        )
+        first = service.predict_encoded(nyt_context.test_encoded[:3])
+        snapshot = first.copy()
+        service.predict_encoded(nyt_context.test_encoded[3:20])
+        assert np.array_equal(first, snapshot)

@@ -18,9 +18,13 @@ import pytest
 from repro import nn
 from repro.baselines.registry import build_method
 from repro.batch import batched_train_logits, supports_batched_training
+from repro.batch.merging import merge_encoded_bags
+from repro.batch.training import _conv1d_pooled, _pcnn_representations
 from repro.config import TrainingConfig
+from repro.encoders.pcnn import PCNNEncoder
 from repro.exceptions import ModelError
 from repro.nn import functional as F
+from repro.nn.backend import Workspace
 from repro.training.trainer import Trainer
 
 # Every aggregation/encoder/head combination the factories can build.
@@ -164,3 +168,98 @@ class TestBatchedTrainingGuards:
             batched_training=False,
         )
         assert not Trainer(model, nyt_context.num_relations, config)._batched
+
+
+class TestPooledPath:
+    """The batched forward always pools its scratch in a ``Workspace``.
+
+    Its pooled kernels must equal the module path bit for bit, and a
+    workspace reused across batches of different shapes must never leak
+    stale buffer contents into values or gradients.
+    """
+
+    @staticmethod
+    def _conv_run(conv, x_data, upstream, pooled):
+        conv.zero_grad()
+        x = nn.Tensor(x_data.copy(), requires_grad=True)
+        out = _conv1d_pooled(conv, x, Workspace()) if pooled else conv(x)
+        out.backward(upstream)
+        grads = [x.grad, conv.weight.grad, conv.bias.grad]
+        return out.data.copy(), [grad.copy() for grad in grads]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_conv1d_pooled_matches_module(self, padding, dtype):
+        rng = np.random.default_rng(padding)
+        conv = nn.Conv1d(5, 7, kernel_size=3, padding=padding, rng=rng).cast_(dtype)
+        x_data = rng.standard_normal((4, 9, 5)).astype(dtype)
+        out_length = 9 + 2 * padding - 3 + 1
+        upstream = rng.standard_normal((4, out_length, 7)).astype(dtype)
+        expected, expected_grads = self._conv_run(conv, x_data, upstream, pooled=False)
+        got, got_grads = self._conv_run(conv, x_data, upstream, pooled=True)
+        assert got.dtype == np.dtype(dtype)
+        assert np.array_equal(got, expected)
+        for actual, wanted in zip(got_grads, expected_grads):
+            assert actual.dtype == wanted.dtype
+            assert np.array_equal(actual, wanted)
+
+    def test_pcnn_pooled_replay_matches_module(self, nyt_context):
+        model = _build_model(nyt_context, "pa_tmr")
+        encoder = model.base_model.encoder
+        assert isinstance(encoder, PCNNEncoder)
+        batch = merge_encoded_bags(nyt_context.train_encoded[:9])
+        embedded = model.base_model.embedder(batch.merged).data
+        upstream = np.random.default_rng(0).standard_normal(
+            (batch.num_sentences, encoder.output_dim)
+        )
+        results = []
+        for pooled in (False, True):
+            model.zero_grad()
+            x = nn.Tensor(embedded.copy(), requires_grad=True)
+            if pooled:
+                out = _pcnn_representations(encoder, x, batch, Workspace())
+            else:
+                out = encoder(x, batch.merged)
+            out.backward(upstream)
+            grads = [x.grad] + [param.grad for param in encoder.parameters()]
+            results.append((out.data.copy(), [grad.copy() for grad in grads]))
+        (expected, expected_grads), (got, got_grads) = results
+        assert np.array_equal(got, expected)
+        for actual, wanted in zip(got_grads, expected_grads):
+            assert np.array_equal(actual, wanted)
+
+    @pytest.mark.parametrize("method_name", ["pa_tmr", "cnn_att", "gru_att", "bgwa"])
+    def test_reused_workspace_matches_fresh_per_call(self, nyt_context, method_name):
+        bags = sorted(nyt_context.train_encoded[:40], key=lambda bag: bag.max_length)
+        mid = len(bags) // 2
+        # Wide, then narrow (the reused buffers still hold the wide batch's
+        # values), then wide again with other bags.  Every batch mixes bag
+        # widths, so some padded columns are never written by any bag.
+        batches = [bags[-3:] + bags[:3], bags[3:6] + bags[mid:mid + 3], bags[-6:-3] + bags[6:9]]
+        widths = [[bag.max_length for bag in batch] for batch in batches]
+        assert max(widths[0]) > max(widths[1])
+        assert all(min(w) < max(w) for w in widths)
+        shared = Workspace()
+        runs = []
+        for workspace in (shared, None):
+            model = _build_model(nyt_context, method_name)
+            model.train()
+            steps = []
+            for batch in batches:
+                model.zero_grad()
+                logits = batched_train_logits(model, batch, workspace=workspace)
+                labels = np.array([bag.label for bag in batch], dtype=np.int64)
+                F.cross_entropy(logits, labels).backward()
+                grads = [
+                    None if param.grad is None else param.grad.copy()
+                    for param in model.parameters()
+                ]
+                steps.append((logits.data.copy(), grads))
+            runs.append(steps)
+        assert shared.num_buffers > 0
+        for (reused_logits, reused_grads), (fresh_logits, fresh_grads) in zip(*runs):
+            assert np.array_equal(reused_logits, fresh_logits)
+            for reused, fresh in zip(reused_grads, fresh_grads):
+                assert (reused is None) == (fresh is None)
+                if reused is not None:
+                    assert np.array_equal(reused, fresh)

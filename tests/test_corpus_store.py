@@ -22,7 +22,7 @@ from repro.batch import (
     merge_store_batch,
 )
 from repro.config import TrainingConfig
-from repro.corpus.loader import BagEncoder, BatchIterator, save_encoded_bags
+from repro.corpus.loader import BagEncoder, BatchIterator
 from repro.corpus.store import CorpusStore, load_corpus
 from repro.exceptions import DataError
 from repro.nn import functional as F
@@ -317,16 +317,23 @@ class TestStorePersistence:
         np.testing.assert_array_equal(loaded.relation_ids, store.relation_ids)
         _assert_bags_equal(loaded.bag(0), store.bag(0))
 
-    def test_legacy_per_bag_file_converts(self, store, legacy_bags, tmp_path):
-        """Caches written by the seed-era saver load as stores."""
+    def test_legacy_per_bag_file_rejected(self, legacy_bags, tmp_path):
+        """The per-bag key layout of early releases is not read."""
+        bag = legacy_bags[0]
         path = tmp_path / "legacy.npz"
-        save_encoded_bags(path, legacy_bags)
-        converted = load_corpus(path)
-        np.testing.assert_array_equal(converted.token_ids, store.token_ids)
-        np.testing.assert_array_equal(converted.labels, store.labels)
-        np.testing.assert_array_equal(
-            converted.sentence_offsets, store.sentence_offsets
+        np.savez(
+            path,
+            num_bags=np.array([1], dtype=np.int64),
+            **{
+                "b0/token_ids": bag.token_ids,
+                "b0/mask": bag.mask,
+                "b0/meta": np.array(
+                    [bag.label, bag.head_entity_id, bag.tail_entity_id], dtype=np.int64
+                ),
+            },
         )
+        with pytest.raises(DataError, match="no format key"):
+            load_corpus(path)
 
     def test_unknown_format_rejected(self, store, tmp_path):
         path = tmp_path / "future.npz"

@@ -23,7 +23,6 @@ from repro.graph.propagation import (
     propagate_embeddings_incremental,
 )
 from repro.graph.proximity import EntityProximityGraph
-from repro.nn.backend import use_backend
 from repro.utils.arrays import concat_ranges
 
 
@@ -43,9 +42,9 @@ class _RowScatterTrainer(LineEmbeddingTrainer):
         return loss1, loss2
 
     def _oracle_step_order(self, vertex_table, context_table, sources, targets, negatives, lr):
-        u = self._gather(vertex_table, sources, "line.u")
-        v_pos = self._gather(context_table, targets, "line.v_pos")
-        v_neg = self._gather(context_table, negatives, "line.v_neg")
+        u = vertex_table[sources]
+        v_pos = context_table[targets]
+        v_neg = context_table[negatives]
 
         pos_scores = np.einsum("bd,bd->b", u, v_pos)
         neg_scores = np.einsum("bd,bkd->bk", u, v_neg)
@@ -168,14 +167,7 @@ def line_graph():
 # ---------------------------------------------------------------------- #
 # LINE
 # ---------------------------------------------------------------------- #
-_LINE_MODES = {
-    "ambient-reference": ("reference", None),
-    "ambient-fast": ("fast", None),
-    "pinned-fast": ("reference", "fast"),
-}
-
-
-def _line_config(backend):
+def _line_config():
     return LineConfig(
         embedding_dim=16,
         negative_samples=3,
@@ -184,7 +176,6 @@ def _line_config(backend):
         sample_chunk_edges=256,
         seed=5,
         finetune_epochs=2,
-        backend=backend,
     )
 
 
@@ -195,39 +186,32 @@ def _assert_tables_equal(trainer, oracle):
         assert np.array_equal(new, old), name
 
 
-@pytest.mark.parametrize("mode", sorted(_LINE_MODES))
 class TestLineByteIdentity:
-    def test_train(self, line_graph, mode):
-        ambient, pinned = _LINE_MODES[mode]
-        with use_backend(ambient):
-            trainer = LineEmbeddingTrainer(line_graph, _line_config(pinned))
-            oracle = _RowScatterTrainer(line_graph, _line_config(pinned))
-            assert (trainer._workspace is not None) == (mode != "ambient-reference")
-            history = trainer.train()
-            oracle_history = oracle.train()
+    def test_train(self, line_graph):
+        trainer = LineEmbeddingTrainer(line_graph, _line_config())
+        oracle = _RowScatterTrainer(line_graph, _line_config())
+        history = trainer.train()
+        oracle_history = oracle.train()
         _assert_tables_equal(trainer, oracle)
         assert history == oracle_history
-        expected = np.float32 if pinned == "fast" else np.float64
-        assert trainer.first_order.dtype == expected
+        assert trainer.first_order.dtype == np.float64
 
-    def test_warm_start_finetune(self, line_graph, mode):
-        ambient, pinned = _LINE_MODES[mode]
-        with use_backend(ambient):
-            trained = LineEmbeddingTrainer(line_graph, _line_config(None))
-            trained.train()
-            rows = np.arange(0, line_graph.num_vertices, 2)
-            dirty = np.array([1, 4, 9, 30])
-            results = []
-            for cls in (LineEmbeddingTrainer, _RowScatterTrainer):
-                trainer = cls(line_graph, _line_config(pinned))
-                trainer.warm_start(
-                    rows,
-                    trained.first_order[rows],
-                    trained.second_order[rows],
-                    trained.second_context[rows],
-                )
-                touched = trainer.finetune(dirty)
-                results.append((trainer, touched))
+    def test_warm_start_finetune(self, line_graph):
+        trained = LineEmbeddingTrainer(line_graph, _line_config())
+        trained.train()
+        rows = np.arange(0, line_graph.num_vertices, 2)
+        dirty = np.array([1, 4, 9, 30])
+        results = []
+        for cls in (LineEmbeddingTrainer, _RowScatterTrainer):
+            trainer = cls(line_graph, _line_config())
+            trainer.warm_start(
+                rows,
+                trained.first_order[rows],
+                trained.second_order[rows],
+                trained.second_context[rows],
+            )
+            touched = trainer.finetune(dirty)
+            results.append((trainer, touched))
         (trainer, touched), (oracle, oracle_touched) = results
         assert touched.size > dirty.size
         assert np.array_equal(touched, oracle_touched)

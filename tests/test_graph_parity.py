@@ -148,7 +148,8 @@ class TestGraphConstructionParity:
         }
         assert as_dict == nyt_bundle.pair_cooccurrence
 
-    def test_load_legacy_string_format(self, tmp_path):
+    def test_legacy_string_format_rejected(self, tmp_path):
+        """The parallel string-array layout of early releases is not read."""
         from repro.utils.serialization import save_npz
 
         path = tmp_path / "legacy.npz"
@@ -161,9 +162,8 @@ class TestGraphConstructionParity:
                 "min_cooccurrence": np.array([1], dtype=np.int64),
             },
         )
-        loaded = EntityProximityGraph.load(path)
-        assert loaded.vertices == ["a", "b", "c"]
-        assert loaded.cooccurrence("a", "b") == 4
+        with pytest.raises(GraphError, match="unrecognised"):
+            EntityProximityGraph.load(path)
 
 
 class TestAliasParity:

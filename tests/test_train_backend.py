@@ -1,22 +1,19 @@
 """Backend-accelerated training (:mod:`repro.training.trainer` + fused optim).
 
-Four contracts are pinned here:
+Three contracts are pinned here:
 
 * **Fused-optimizer bit-parity** — the in-place ``out=`` update sequences in
   :mod:`repro.nn.optim` produce exactly the bits of the historical
   per-temporary formulas, for SGD (momentum/weight-decay), Adam, Adagrad and
   gradient clipping.
-* **Ambient parity** — selecting the fast backend ambiently
-  (``REPRO_BACKEND=fast`` / :func:`set_backend`) swaps kernels only: a full
-  :meth:`Trainer.fit` run is bit-identical to the reference run.
 * **Pinned-fast parity** — ``TrainingConfig(backend="fast")`` trains the
   forward/backward graph in float32 against float64 master weights; final
   losses and parameters match the reference within an explicit tolerance,
   with identical argmax predictions from the resulting checkpoint and
   identical early-stopping decisions, for every encoder/aggregator/head
   variant.
-* **Steady-state allocation** — with workspace reuse, no new scratch buffer
-  is allocated after the first epoch.
+* **Steady-state allocation** — the trainer's pooled scratch allocates no
+  new buffer after the first epoch, whatever the backend.
 """
 
 from __future__ import annotations
@@ -31,10 +28,7 @@ from repro.baselines.registry import build_method
 from repro.batch import batched_predict_probabilities
 from repro.config import TrainingConfig
 from repro.core.model import NeuralREModel
-from repro.exceptions import ConfigurationError, GraphError
-from repro.graph.line import LineConfig, LineEmbeddingTrainer
-from repro.graph.proximity import EntityProximityGraph
-from repro.nn.backend import use_backend
+from repro.exceptions import ConfigurationError
 from repro.nn.module import Parameter
 from repro.training.callbacks import EarlyStopping
 from repro.training.trainer import Trainer
@@ -191,24 +185,6 @@ class TestFusedOptimizerBitParity:
 
 
 # ---------------------------------------------------------------------- #
-# Ambient fast backend: kernels only, bit-identical
-# ---------------------------------------------------------------------- #
-class TestAmbientFastBitIdentical:
-    @pytest.mark.parametrize("method_name", ["pa_tmr", "gru_att"])
-    def test_fit_bit_identical_under_ambient_fast(self, nyt_context, method_name):
-        bags = nyt_context.train_encoded[:24]
-        reference, ref_model, _ = _fit(nyt_context, method_name, bags)
-        with use_backend("fast"):
-            fast, fast_model, trainer = _fit(nyt_context, method_name, bags)
-        assert trainer.backend.name == "fast"
-        # Ambient selection must not engage the dtype policy.
-        assert trainer.activation_dtype == np.dtype(np.float64)
-        np.testing.assert_array_equal(fast.batch_losses, reference.batch_losses)
-        for expected, actual in zip(ref_model.parameters(), fast_model.parameters()):
-            np.testing.assert_array_equal(actual.data, expected.data)
-
-
-# ---------------------------------------------------------------------- #
 # Pinned fast backend: float32 graph, float64 masters, tolerance parity
 # ---------------------------------------------------------------------- #
 class TestPinnedFastParity:
@@ -275,15 +251,22 @@ class TestPinnedFastParity:
 # ---------------------------------------------------------------------- #
 class TestWorkspaceSteadyState:
     def test_no_new_scratch_buffers_after_first_epoch(self, nyt_context):
+        self._check_steady_state(nyt_context, backend="fast")
+
+    def test_default_backend_pools_too(self, nyt_context):
+        self._check_steady_state(nyt_context, backend=None)
+
+    @staticmethod
+    def _check_steady_state(nyt_context, backend):
         bags = nyt_context.train_encoded[:24]
         model = _build_model(nyt_context, "pa_tmr")
         config = TrainingConfig(
-            epochs=1, batch_size=7, seed=0, backend="fast", shuffle=False
+            epochs=1, batch_size=7, seed=0, backend=backend, shuffle=False
         )
         trainer = Trainer(model, nyt_context.num_relations, config)
         trainer.fit(bags)
         stats = trainer.workspace_stats()
-        assert stats is not None and stats["allocations"] > 0
+        assert stats["allocations"] > 0
         trainer.fit(bags)  # identical second epoch (shuffle=False)
         after = trainer.workspace_stats()
         assert after["allocations"] == stats["allocations"]
@@ -330,53 +313,3 @@ class TestTrainingConfigBackend:
             config.validate()
             assert config.backend == name
         TrainingConfig().validate()
-
-
-# ---------------------------------------------------------------------- #
-# LINE embedding trainer backend knob
-# ---------------------------------------------------------------------- #
-class TestLineBackend:
-    @pytest.fixture()
-    def square_graph(self):
-        counts = {("a", "b"): 3, ("b", "c"): 2, ("c", "d"): 4, ("d", "a"): 1}
-        return EntityProximityGraph.from_counts(counts)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(GraphError):
-            LineConfig(backend="warp-drive")
-
-    def test_pinned_fast_trains_float32_tables(self, square_graph):
-        config = LineConfig(
-            embedding_dim=8, epochs=5, batch_edges=4, seed=0, backend="fast"
-        )
-        trainer = LineEmbeddingTrainer(square_graph, config)
-        trainer.train()
-        # The public matrices are always float64 at the boundary.
-        matrix = trainer.embedding_matrix()
-        assert matrix.dtype == np.float64
-        assert np.isfinite(matrix).all()
-
-    def test_pinned_fast_close_to_reference(self, square_graph):
-        reference = LineEmbeddingTrainer(
-            square_graph, LineConfig(embedding_dim=8, epochs=5, batch_edges=4, seed=0)
-        )
-        reference.train()
-        fast = LineEmbeddingTrainer(
-            square_graph,
-            LineConfig(embedding_dim=8, epochs=5, batch_edges=4, seed=0, backend="fast"),
-        )
-        fast.train()
-        np.testing.assert_allclose(
-            fast.embedding_matrix(), reference.embedding_matrix(), rtol=0, atol=1e-3
-        )
-
-    def test_ambient_fast_bit_identical(self, square_graph):
-        config = LineConfig(embedding_dim=8, epochs=5, batch_edges=4, seed=0)
-        reference = LineEmbeddingTrainer(square_graph, config)
-        reference.train()
-        with use_backend("fast"):
-            ambient = LineEmbeddingTrainer(square_graph, config)
-            ambient.train()
-        np.testing.assert_array_equal(
-            ambient.embedding_matrix(), reference.embedding_matrix()
-        )
