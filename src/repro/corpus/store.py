@@ -27,8 +27,8 @@ instead of re-padding object lists.  Two on-disk layouts persist a store:
   the same zero-copy view API, so training and serving touch only the pages
   a batch actually reads;
 * **format v2** (:meth:`save` to a ``*.npz`` path): the single-file columnar
-  npz, kept for compact archival artifacts.  Contrary to what this docstring
-  used to claim, an npz can NOT be memmapped — its members live inside a zip
+  npz, kept as a one-file artifact (what an ingest version publishes).  An
+  npz can NOT be memmapped — its members live inside a zip
   container, which defeats ``np.load``'s ``mmap_mode`` — so ``load`` refuses
   ``mmap=True`` on npz files and points at the v3 shard layout instead.
 
@@ -44,7 +44,6 @@ produced them.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
@@ -56,6 +55,7 @@ import numpy as np
 
 from ..exceptions import DataError
 from ..utils.arrays import concat_ranges, gather_ragged, offsets_from_sizes
+from ..utils.serialization import file_sha256, load_npz, save_npz
 from .bags import EncodedBag
 
 #: Current on-disk format: the sharded directory layout (manifest.json plus
@@ -513,8 +513,8 @@ class CorpusStore:
     def save(self, path) -> None:
         """Write the store to disk; the layout follows from the path.
 
-        A ``*.npz`` path writes the single-file columnar npz (format v2, a
-        compact archival artifact that cannot be memmapped); any other path
+        A ``*.npz`` path writes the single-file columnar npz (format v2, one
+        file that cannot be memmapped); any other path
         becomes a format-v3 shard directory — raw per-column ``.npy`` shards
         plus ``manifest.json`` — the layout ``load(mmap=True)`` requires.
         """
@@ -526,8 +526,6 @@ class CorpusStore:
 
     def _save_npz(self, path) -> None:
         """Write the format-v2 columnar npz (one key per column)."""
-        from ..utils.serialization import save_npz
-
         arrays = {"format": np.array([CORPUS_STORE_NPZ_FORMAT], dtype=np.int64)}
         for name in (
             *_TOKEN_COLUMNS,
@@ -569,7 +567,7 @@ class CorpusStore:
                     {
                         "file": file_name,
                         "rows": [row, row + int(data.shape[0])],
-                        "sha256": _file_sha256(file_path),
+                        "sha256": file_sha256(file_path),
                     }
                 )
                 row += int(data.shape[0])
@@ -611,8 +609,6 @@ class CorpusStore:
                 "memmapped (zip members defeat np.load's mmap_mode); re-save "
                 "the store to a directory path for the format-v3 shard layout"
             )
-        from ..utils.serialization import load_npz
-
         data = load_npz(path)
         if "format" not in data:
             raise DataError(f"{path} is not an encoded-corpus file (no format key)")
@@ -679,14 +675,6 @@ def _shard_file_name(column: str, index: int) -> str:
     return f"{column}-{index:05d}.npy"
 
 
-def _file_sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _write_manifest(path: Path, manifest: dict) -> None:
     """Write ``manifest.json`` atomically (rename), as the last step of a save."""
     tmp = path / (MANIFEST_NAME + f".tmp-{os.getpid()}")
@@ -735,7 +723,7 @@ def _load_column(
         if not file_path.is_file():
             raise DataError(f"column '{name}': missing shard file {file_name}")
         if verify_hashes:
-            digest = _file_sha256(file_path)
+            digest = file_sha256(file_path)
             expected = shard.get("sha256")
             if digest != expected:
                 raise DataError(
@@ -796,7 +784,7 @@ def _write_column_shard(directory: Path, name: str, array: np.ndarray) -> dict:
             {
                 "file": file_name,
                 "rows": [0, int(data.shape[0])],
-                "sha256": _file_sha256(file_path),
+                "sha256": file_sha256(file_path),
             }
         ],
     }

@@ -194,7 +194,7 @@ class EntityEmbeddings:
     # Persistence
     # ------------------------------------------------------------------ #
     def save(self, path) -> None:
-        """Save names and vectors to a compressed npz file."""
+        """Save names and vectors to an npz file (see :func:`~repro.utils.serialization.save_npz`)."""
         save_npz(
             path,
             {

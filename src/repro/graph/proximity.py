@@ -652,8 +652,8 @@ class EntityProximityGraph:
         The finalised state (weights, CSR adjacency) is derived data and is
         recomputed on :meth:`load`, which keeps the file format independent of
         the weighting formula.  Pairs are stored id-encoded against a single
-        entity-name table (format version 2); :meth:`load` also reads the
-        legacy format with three parallel string arrays.
+        entity-name table (format version 2), the only layout :meth:`load`
+        reads.
 
         Raises :class:`GraphError` when buffered pair updates are pending —
         they are not part of the finalized raw arrays and would otherwise

@@ -20,7 +20,6 @@ locked against).  Readers are lock-free.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
@@ -30,6 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..exceptions import DataError
 from ..utils.logging import get_logger
+from ..utils.serialization import file_sha256
 
 logger = get_logger("ingest.versions")
 
@@ -47,14 +47,6 @@ MANIFEST_NAME = "manifest.json"
 #: Sub-path of the servable checkpoint inside a version directory (the
 #: serving daemon's watch loop reloads from here).
 CHECKPOINT_MEMBER = "checkpoint"
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _version_dir_name(version: int) -> str:
@@ -142,7 +134,7 @@ class ArtifactVersionStore:
             path = info.path / member
             if not path.exists():
                 raise DataError(f"version {info.version} is missing member {member}")
-            actual = _sha256(path)
+            actual = file_sha256(path)
             if actual != expected:
                 raise DataError(
                     f"version {info.version} member {member} hash mismatch "
@@ -176,7 +168,7 @@ class ArtifactVersionStore:
         try:
             write(staging)
             files = {
-                str(path.relative_to(staging)): _sha256(path)
+                str(path.relative_to(staging)): file_sha256(path)
                 for path in sorted(staging.rglob("*"))
                 if path.is_file()
             }

@@ -3,7 +3,7 @@
 from .arrays import factorize_names
 from .artifacts import ArtifactCache, CacheStats, content_key, default_cache_dir
 from .rng import SeedSequenceFactory, new_rng, spawn_rngs
-from .serialization import load_json, load_npz, save_json, save_npz
+from .serialization import file_sha256, load_npz, save_npz
 from .logging import get_logger
 from .tables import format_table
 
@@ -14,8 +14,7 @@ __all__ = [
     "SeedSequenceFactory",
     "save_npz",
     "load_npz",
-    "save_json",
-    "load_json",
+    "file_sha256",
     "get_logger",
     "format_table",
     "ArtifactCache",

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..exceptions import CheckpointError
 from .logging import get_logger
-from .serialization import save_npz
+from .serialization import file_sha256, save_npz
 
 logger = get_logger("utils.checkpoint")
 
@@ -55,6 +55,9 @@ SCHEMA_FILE = "schema.json"
 #: Reserved key in ``weights.npz`` for the frozen LINE entity-vector table of
 #: the mutual-relation head (a buffer, not a trainable parameter).
 ENTITY_VECTORS_KEY = "__entity_vectors__"
+
+#: ``json.dumps`` separators for the machine-read members.
+_COMPACT = (",", ":")
 
 
 @dataclass
@@ -91,14 +94,6 @@ def checkpointable_model(method_or_model):
             "pcnn_att) can be saved"
         )
     return model
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------- #
@@ -337,14 +332,17 @@ def save_checkpoint(
     save_npz(path / WEIGHTS_FILE, weights)
     members = [WEIGHTS_FILE]
 
+    # The bulk members (vocabulary, KB) are written compact: CPython only
+    # takes its C encoder when ``indent`` is None.  The manifest stays
+    # indented for people to read.
     if encoder is not None:
         (path / ENCODER_FILE).write_text(
-            json.dumps(_encoder_payload(encoder), indent=2), encoding="utf-8"
+            json.dumps(_encoder_payload(encoder), separators=_COMPACT), encoding="utf-8"
         )
         members.append(ENCODER_FILE)
     if schema is not None:
         (path / SCHEMA_FILE).write_text(
-            json.dumps(_schema_payload(schema, kb), indent=2), encoding="utf-8"
+            json.dumps(_schema_payload(schema, kb), separators=_COMPACT), encoding="utf-8"
         )
         members.append(SCHEMA_FILE)
 
@@ -352,7 +350,7 @@ def save_checkpoint(
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "library_version": __version__,
         "model": spec,
-        "files": {member: _sha256(path / member) for member in members},
+        "files": {member: file_sha256(path / member) for member in members},
         "metadata": dict(metadata or {}),
     }
     (path / MANIFEST_FILE).write_text(json.dumps(manifest, indent=2), encoding="utf-8")

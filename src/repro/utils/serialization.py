@@ -1,10 +1,10 @@
-"""Checkpoint and artifact serialisation helpers (npz / json)."""
+"""Array-file and file-hash helpers shared by every artifact writer."""
 
 from __future__ import annotations
 
-import json
+import hashlib
 from pathlib import Path
-from typing import Any, Dict, Mapping, Union
+from typing import Dict, Mapping, Union
 
 import numpy as np
 
@@ -12,12 +12,16 @@ PathLike = Union[str, Path]
 
 
 def save_npz(path: PathLike, arrays: Mapping[str, np.ndarray]) -> Path:
-    """Save a mapping of named arrays to a compressed ``.npz`` file."""
+    """Save a mapping of named arrays to an ``.npz`` file of stored members.
+
+    Members are written uncompressed (``np.savez``): deflating float weights
+    and embeddings costs far more time than it saves disk.  :func:`load_npz`
+    (``np.load``) reads stored and deflated members alike, so files written
+    with ``np.savez_compressed`` stay readable.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # npz keys cannot contain '/' cleanly on load via attribute access, but the
-    # dict interface used below handles arbitrary names; we keep names as-is.
-    np.savez_compressed(path, **{str(k): np.asarray(v) for k, v in arrays.items()})
+    np.savez(path, **{str(k): np.asarray(v) for k, v in arrays.items()})
     return path
 
 
@@ -30,32 +34,10 @@ def load_npz(path: PathLike) -> Dict[str, np.ndarray]:
         return {key: np.array(data[key]) for key in data.files}
 
 
-class _NumpyEncoder(json.JSONEncoder):
-    """JSON encoder that understands numpy scalars and arrays."""
-
-    def default(self, obj: Any) -> Any:
-        if isinstance(obj, np.integer):
-            return int(obj)
-        if isinstance(obj, np.floating):
-            return float(obj)
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        return super().default(obj)
-
-
-def save_json(path: PathLike, payload: Any, indent: int = 2) -> Path:
-    """Serialise ``payload`` to JSON, accepting numpy types transparently."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=indent, cls=_NumpyEncoder)
-    return path
-
-
-def load_json(path: PathLike) -> Any:
-    """Load a JSON document saved by :func:`save_json`."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"file not found: {path}")
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+def file_sha256(path: PathLike) -> str:
+    """Hex SHA-256 of a file's bytes, read in 1 MiB blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import logging
 
 import numpy as np
@@ -17,7 +18,7 @@ from repro.config import (
 from repro.exceptions import ConfigurationError
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedSequenceFactory, new_rng, spawn_rngs
-from repro.utils.serialization import load_json, load_npz, save_json, save_npz
+from repro.utils.serialization import file_sha256, load_npz, save_npz
 from repro.utils.tables import format_key_values, format_table
 
 
@@ -60,16 +61,12 @@ class TestSerialization:
         with pytest.raises(FileNotFoundError):
             load_npz(tmp_path / "missing.npz")
 
-    def test_json_roundtrip_with_numpy_types(self, tmp_path):
-        payload = {"auc": np.float64(0.5), "counts": np.array([1, 2, 3]), "name": "pa_tmr"}
-        path = save_json(tmp_path / "result.json", payload)
-        loaded = load_json(path)
-        assert loaded["auc"] == pytest.approx(0.5)
-        assert loaded["counts"] == [1, 2, 3]
-
-    def test_json_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_json(tmp_path / "missing.json")
+    def test_file_sha256_matches_hashlib(self, tmp_path):
+        payload = np.random.default_rng(0).bytes(3 * (1 << 20) + 17)  # spans blocks
+        (tmp_path / "blob").write_bytes(payload)
+        (tmp_path / "empty").write_bytes(b"")
+        assert file_sha256(tmp_path / "blob") == hashlib.sha256(payload).hexdigest()
+        assert file_sha256(tmp_path / "empty") == hashlib.sha256(b"").hexdigest()
 
 
 class TestTables:
