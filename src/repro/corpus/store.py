@@ -28,9 +28,9 @@ instead of re-padding object lists.  Two on-disk layouts persist a store:
   a batch actually reads;
 * **format v2** (:meth:`save` to a ``*.npz`` path): the single-file columnar
   npz, kept as a one-file artifact (what an ingest version publishes).  An
-  npz can NOT be memmapped — its members live inside a zip
-  container, which defeats ``np.load``'s ``mmap_mode`` — so ``load`` refuses
-  ``mmap=True`` on npz files and points at the v3 shard layout instead.
+  npz can NOT be memmapped — its members live inside a zip container, which
+  defeats ``np.load``'s ``mmap_mode`` — so ``load`` refuses ``mmap=True`` on
+  npz files and points at the v3 shard layout instead.
 
 The per-bag key layout of early releases (one key set per bag) is no
 longer read: :meth:`load` rejects it with a :class:`DataError`.
@@ -514,9 +514,9 @@ class CorpusStore:
         """Write the store to disk; the layout follows from the path.
 
         A ``*.npz`` path writes the single-file columnar npz (format v2, one
-        file that cannot be memmapped); any other path
-        becomes a format-v3 shard directory — raw per-column ``.npy`` shards
-        plus ``manifest.json`` — the layout ``load(mmap=True)`` requires.
+        file that cannot be memmapped); any other path becomes a format-v3
+        shard directory — raw per-column ``.npy`` shards plus
+        ``manifest.json`` — the layout ``load(mmap=True)`` requires.
         """
         path = Path(path)
         if path.suffix == ".npz":

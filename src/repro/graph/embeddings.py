@@ -194,7 +194,7 @@ class EntityEmbeddings:
     # Persistence
     # ------------------------------------------------------------------ #
     def save(self, path) -> None:
-        """Save names and vectors to an npz file (see :func:`~repro.utils.serialization.save_npz`)."""
+        """Save names and vectors to an npz file of stored (uncompressed) members."""
         save_npz(
             path,
             {

@@ -3,7 +3,7 @@
 from .arrays import factorize_names
 from .artifacts import ArtifactCache, CacheStats, content_key, default_cache_dir
 from .rng import SeedSequenceFactory, new_rng, spawn_rngs
-from .serialization import file_sha256, load_npz, save_npz
+from .serialization import load_npz, save_npz
 from .logging import get_logger
 from .tables import format_table
 
@@ -14,7 +14,6 @@ __all__ = [
     "SeedSequenceFactory",
     "save_npz",
     "load_npz",
-    "file_sha256",
     "get_logger",
     "format_table",
     "ArtifactCache",
